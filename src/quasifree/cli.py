@@ -12,7 +12,7 @@ Exit codes:
     3  negative verdict (no generation / separable)
     4  witness inapplicable (no null vector)
     5  no unique asymptotic state
-    6  oracle disagreement or truncation leak
+    6  oracle disagreement, truncation leak or failed oracle integration
 """
 
 import argparse
@@ -46,6 +46,7 @@ from .errors import (
     ConfigError,
     EmptyNullSpace,
     NotCP,
+    NumericalFailure,
     QuasifreeError,
     TruncationLeak,
     UnknownParam,
@@ -310,6 +311,9 @@ def cmd_oracle_compare(args) -> int:
                 disagreements += 1
     except TruncationLeak as exc:
         print(f"truncation leak: {exc}")
+        return EXIT_ORACLE
+    except NumericalFailure as exc:
+        print(f"oracle integration failed: {exc}; retry with a smaller --oracle-dt")
         return EXIT_ORACLE
 
     print(f"max absolute moment deviation: {_fmt(max_dev)}")

@@ -8,6 +8,15 @@ density matrix.  Agreement between the two routes is the package's main
 correctness check; this module therefore never calls the covariance
 propagator.
 
+The oracle covers parity-symmetric states: density matrices that commute
+with the total parity (-1)^(n1 + n2).  Every zero-mean Gaussian state is
+one, and so is every state built here (vacuum, thermal, squeezed pure
+products); FockState refuses any other.  The Hamiltonian and the
+anticommutator term are quadratic in ladder operators and each jump
+operator is linear, so the generator never mixes the two parity sectors: rho
+is evolved as its even and odd diagonal blocks, each of half the dimension,
+and the partial transpose splits into the same two blocks.
+
 A hard-truncated Fock space cannot hold a Gaussian state exactly, so results
 are only trusted while the population of the top number level stays below
 TRUNCATION_TOL.
@@ -34,21 +43,54 @@ TRACE_TOL = 1e-8
 DEFAULT_DT = 1e-3
 
 
-def lowering_operators(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense truncated lowering operators (a_1, a_2) on the two-mode space
+def _sparse_lowering_operators(cutoff: int):
+    """Sparse truncated lowering operators (a_1, a_2) on the two-mode space
     with per-mode occupation 0..cutoff."""
     if cutoff < 2:
         raise CutoffTooSmall(f"cutoff must be >= 2, got {cutoff}")
     q = cutoff + 1
-    a = np.zeros((q, q), dtype=complex)
-    a[np.arange(q - 1), np.arange(1, q)] = np.sqrt(np.arange(1, q))
-    eye = np.eye(q, dtype=complex)
-    return np.kron(a, eye), np.kron(eye, a)
+    a = scipy.sparse.diags_array(np.sqrt(np.arange(1, q)), offsets=1, shape=(q, q), dtype=complex)
+    eye = scipy.sparse.eye_array(q, dtype=complex)
+    return scipy.sparse.kron(a, eye, format="csr"), scipy.sparse.kron(eye, a, format="csr")
+
+
+def lowering_operators(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense truncated lowering operators (a_1, a_2) on the two-mode space
+    with per-mode occupation 0..cutoff."""
+    a1, a2 = _sparse_lowering_operators(cutoff)
+    return a1.toarray(), a2.toarray()
+
+
+def parity_sectors(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the |n1, n2> basis states with even and with odd n1 + n2."""
+    n = np.arange(cutoff + 1)
+    odd = ((n[:, None] + n[None, :]) % 2).reshape(-1).astype(bool)
+    return np.flatnonzero(~odd), np.flatnonzero(odd)
+
+
+def split_parity(rho: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (even, even) and (odd, odd) diagonal blocks of a matrix in the
+    |n1, n2> basis."""
+    even, odd = parity_sectors(cutoff)
+    return rho[np.ix_(even, even)], rho[np.ix_(odd, odd)]
+
+
+def join_parity(blocks, cutoff: int) -> np.ndarray:
+    """Inverse of split_parity for a parity-symmetric matrix: the full matrix
+    with the two blocks on its diagonal and zeros between the sectors."""
+    even, odd = parity_sectors(cutoff)
+    q = cutoff + 1
+    out = np.zeros((q * q, q * q), dtype=complex)
+    out[np.ix_(even, even)] = blocks[0]
+    out[np.ix_(odd, odd)] = blocks[1]
+    return out
 
 
 @dataclass(frozen=True)
 class FockState:
-    """Truncated two-mode density matrix, indexed by |n1, n2>."""
+    """Truncated two-mode density matrix, indexed by |n1, n2>.  It must be
+    parity-symmetric: no entry may connect sectors of different total
+    parity."""
 
     rho: np.ndarray
     cutoff: int
@@ -62,6 +104,12 @@ class FockState:
         if abs(trace - 1.0) > 1e-10:
             raise ValueError(f"rho must have unit trace, got {trace}")
         r = matkit.require_hermitian(r, rtol=1e-10)
+        even, odd = parity_sectors(self.cutoff)
+        if np.any(r[np.ix_(even, odd)]) or np.any(r[np.ix_(odd, even)]):
+            raise ValueError(
+                "rho mixes sectors of different total parity; the oracle covers "
+                "parity-symmetric (zero-mean) states only"
+            )
         r = np.array(r, copy=True)
         r.setflags(write=False)
         object.__setattr__(self, "rho", r)
@@ -128,93 +176,73 @@ def pure_product_state(omega1: complex, omega2: complex, cutoff: int) -> FockSta
     return FockState(np.outer(psi, psi.conj()), cutoff)
 
 
+def _block(op, rows, cols):
+    """Sparse CSR block op[rows, cols] without stored zeros."""
+    out = op.tocsr()[rows][:, cols]
+    out.eliminate_zeros()
+    return out
+
+
 class LindbladGenerator:
     """Exact master-equation generator on the truncated space.
 
     Acts as rho_dot = -i[H, rho] + sum_k c_k (L_k rho L_k^dag
     - {L_k^dag L_k, rho}/2), where the jump operators diagonalize the
     Kossakowski matrix (c_k may be negative for non-CP baths; the
-    construction is the same).
+    construction is the same).  Only the parity blocks are kept: the
+    sector-preserving blocks G_e, G_o of the drift G = -iH - K/2, with
+    K = sum_k c_k L_k^dag L_k, and the sector-flipping blocks L_k,eo (odd to
+    even) and L_k,oe (even to odd) of each jump.
     """
 
     def __init__(self, bath: BathSpec, cutoff: int):
         if bath.n != 2:
             raise WrongModeCount(f"the oracle is built for 2 modes, got {bath.n}")
-        a1, a2 = lowering_operators(cutoff)
+        a1, a2 = _sparse_lowering_operators(cutoff)
         ladder = [a1, a2, a1.conj().T, a2.conj().T]
         self.cutoff = cutoff
-        self.dim = a1.shape[0]
 
-        h = np.zeros_like(a1)
-        for i in range(2):
-            for j in range(2):
-                h += bath.omega[i, j] * ladder[2 + i] @ ladder[j]
+        h = sum(bath.omega[i, j] * (ladder[2 + i] @ ladder[j]) for i in range(2) for j in range(2))
 
         c = kossakowski(bath)
         w, u = matkit.hermitian_eigensystem(c)
         scale = float(np.abs(w).max(initial=0.0))
-        self.rates = []
-        self.jumps = []
+        rates = []
+        jumps = []
         for k in range(4):
             if scale == 0.0 or abs(w[k]) <= 1e-14 * scale:
                 continue
-            l_k = np.zeros_like(a1)
-            for nu in range(4):
-                l_k += np.conj(u[nu, k]) * ladder[nu]
-            self.rates.append(float(w[k]))
-            self.jumps.append(np.ascontiguousarray(l_k))
+            rates.append(float(w[k]))
+            jumps.append(sum(np.conj(u[nu, k]) * ladder[nu] for nu in range(4)))
 
-        k_op = np.zeros_like(a1)
-        for rate, l_k in zip(self.rates, self.jumps):
-            k_op += rate * (l_k.conj().T @ l_k)
-        # Non-Hermitian drift: rho_dot = G rho + rho G^dag + jump terms.
-        self.drift = -1j * h - 0.5 * k_op
-        # Hot-path precomputes.  The generator matrices are narrow-banded
-        # combinations of ladder operators (< 2% fill), and left-multiplying
-        # a dense matrix by a sparse one is the only fast sparse product, so
-        # the Hermitian fast path below is arranged to use nothing else.
-        self._drift_sp = scipy.sparse.csr_matrix(self.drift)
-        self._drift_dag = self.drift.conj().T.copy()
-        self._jumps_sp = [scipy.sparse.csr_matrix(l_k) for l_k in self.jumps]
-        self._scaled_jumps_sp = [
-            scipy.sparse.csr_matrix(rate * l_k) for rate, l_k in zip(self.rates, self.jumps)
-        ]
-        self._jump_dags = [l_k.conj().T.copy() for l_k in self.jumps]
+        k_op = sum(rate * (l_k.conj().T @ l_k) for rate, l_k in zip(rates, jumps))
+        drift = -1j * h - 0.5 * k_op
 
-    def _apply_hermitian(self, rho: np.ndarray) -> np.ndarray:
-        """Generator action for Hermitian rho: with M = G rho + (1/2) sum_k
-        c_k L_k (L_k rho)^dag, the result is M + M^dag (each jump sandwich
-        c L rho L^dag equals c L (L rho)^dag and is itself Hermitian)."""
-        m = self._drift_sp @ rho
-        for l_sp, l_scaled_sp in zip(self._jumps_sp, self._scaled_jumps_sp):
-            p = l_sp @ rho
-            m += 0.5 * (l_scaled_sp @ p.conj().T)
-        return m + m.conj().T
+        # Left-multiplying a dense matrix by a sparse one is the only fast
+        # sparse product, so apply() is arranged to use nothing else.
+        even, odd = parity_sectors(cutoff)
+        self._drift = (_block(drift, even, even), _block(drift, odd, odd))
+        self._jumps = []
+        for rate, l_k in zip(rates, jumps):
+            l_eo, l_oe = _block(l_k, even, odd), _block(l_k, odd, even)
+            self._jumps.append((l_eo, rate * l_eo, l_oe, rate * l_oe))
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Generator action on a matrix (Hermitian or not)."""
-        out = self._drift_sp @ rho
-        out += rho @ self._drift_dag
-        for l_scaled_sp, l_dag in zip(self._scaled_jumps_sp, self._jump_dags):
-            out += (l_scaled_sp @ rho) @ l_dag
-        return out
+    def apply(self, rho):
+        """Generator action on a Hermitian parity-symmetric rho given as its
+        parity blocks (rho_e, rho_o), returned the same way.
 
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        """Action on a row-major vectorized density matrix."""
-        d = self.dim
-        return self.apply(np.asarray(vec, dtype=complex).reshape(d, d)).reshape(-1)
-
-    def to_superoperator(self) -> np.ndarray:
-        """Dense matrix acting on the row-major vectorized rho.  Only
-        sensible at small cutoffs; guarded to keep memory bounded."""
-        d = self.dim
-        if d > 64:
-            raise MemoryError(f"dense superoperator would be {d * d}x{d * d}; use matvec instead")
-        eye = np.eye(d, dtype=complex)
-        sup = np.kron(self.drift, eye) + np.kron(eye, self.drift.conj())
-        for rate, l_k in zip(self.rates, self.jumps):
-            sup += rate * np.kron(l_k, l_k.conj())
-        return sup
+        With M_e = G_e rho_e + (1/2) sum_k c_k L_k,eo (L_k,eo rho_o)^dag and
+        M_o likewise with e and o swapped, the result is (M_e + M_e^dag,
+        M_o + M_o^dag): each jump sandwich c L rho L^dag equals
+        c L (L rho)^dag and is itself Hermitian.
+        """
+        rho_e, rho_o = rho
+        m_e = self._drift[0] @ rho_e
+        m_o = self._drift[1] @ rho_o
+        for l_eo, scaled_eo, l_oe, scaled_oe in self._jumps:
+            m_e += 0.5 * (scaled_eo @ np.ascontiguousarray((l_eo @ rho_o).conj().T))
+            m_o += 0.5 * (scaled_oe @ np.ascontiguousarray((l_oe @ rho_e).conj().T))
+        return m_e + m_e.conj().T, m_o + m_o.conj().T
 
 
 def build_generator(bath: BathSpec, cutoff: int) -> LindbladGenerator:
@@ -233,33 +261,49 @@ def top_level_population(state: FockState) -> float:
 def evolve_rho(
     rho0: FockState, bath: BathSpec, t: float, dt: float = DEFAULT_DT
 ) -> FockState:
-    """Fixed-step fourth-order integration of the master equation.
+    """Fixed-step fourth-order integration of the master equation on the two
+    parity blocks of rho.
 
     Hermiticity is enforced by symmetrization after every step; the trace is
     checked at the end (the generator is trace-free, so drift beyond roundoff
-    signals an integrator failure).  Raises TruncationLeak when the top
-    number level accumulates more than TRUNCATION_TOL population.
+    signals an integrator failure), and so is positivity: an eigenvalue below
+    -TRUNCATION_TOL raises NumericalFailure.  Raises TruncationLeak when the
+    top number level accumulates more than TRUNCATION_TOL population.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     if dt <= 0:
         raise ValueError("dt must be > 0")
     gen = build_generator(bath, rho0.cutoff)
-    rho = np.array(rho0.rho, dtype=complex, copy=True)
+    rho = split_parity(rho0.rho, rho0.cutoff)
     remaining = float(t)
     while remaining > 1e-15:
         step = min(dt, remaining)
-        k1 = gen._apply_hermitian(rho)
-        k2 = gen._apply_hermitian(rho + 0.5 * step * k1)
-        k3 = gen._apply_hermitian(rho + 0.5 * step * k2)
-        k4 = gen._apply_hermitian(rho + step * k3)
-        rho += (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
+        k1 = gen.apply(rho)
+        k2 = gen.apply([r + 0.5 * step * k for r, k in zip(rho, k1)])
+        k3 = gen.apply([r + 0.5 * step * k for r, k in zip(rho, k2)])
+        k4 = gen.apply([r + step * k for r, k in zip(rho, k3)])
+        rho = [
+            r + (step / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+            for r, a, b, c, d in zip(rho, k1, k2, k3, k4)
+        ]
+        rho = [0.5 * (r + r.conj().T) for r in rho]
         remaining -= step
-    trace = complex(np.trace(rho))
+    full = join_parity(rho, rho0.cutoff)
+    trace = complex(np.trace(full))
     if abs(trace - 1.0) > TRACE_TOL:
         raise NumericalFailure(f"trace drifted to {trace}")
-    out = FockState(rho / trace.real, rho0.cutoff)
+    # The truncated generator is itself of Lindblad form, so for a CP bath
+    # only the integrator can move population to where a physical state has
+    # none; the same bound as the truncation leak decides when to stop.
+    min_eig = min(float(np.linalg.eigvalsh(r)[0]) for r in rho)
+    if min_eig < -TRUNCATION_TOL:
+        raise NumericalFailure(
+            f"integrated density matrix has eigenvalue {min_eig:.3e} < -{TRUNCATION_TOL:.0e}; "
+            f"the step dt={dt:g} is unstable for this generator, or the bath is not "
+            "completely positive"
+        )
+    out = FockState(full / trace.real, rho0.cutoff)
     leak = top_level_population(out)
     if leak > TRUNCATION_TOL:
         raise TruncationLeak(
@@ -270,25 +314,42 @@ def evolve_rho(
 
 
 def extract_moments(state: FockState) -> CovarianceBlocks:
-    """Second moments alpha[i, j] = Tr[a_i a_j rho], beta[i, j] = Tr[a_i a_j^dag rho]."""
-    a1, a2 = lowering_operators(state.cutoff)
-    ops = (a1, a2)
-    lowered = [op @ state.rho for op in ops]
-    raised = [op.conj().T @ state.rho for op in ops]
+    """Second moments alpha[i, j] = Tr[a_i a_j rho], beta[i, j] = Tr[a_i a_j^dag rho].
+
+    Each trace is a weighted sum along one shifted diagonal of rho, read off
+    rho[n1, n2, m1, m2] with the truncated ladder weights sqrt(n): a_i a_j^dag
+    has weight 0 on the top level of mode j, as in the truncated product.
+    """
+    q = state.cutoff + 1
+    r = state.rho.reshape(q, q, q, q)
+    s = np.sqrt(np.arange(1, q))  # <n-1|a|n> for n = 1..q-1
+    s2 = s[:-1] * s[1:]  # <n-2|a a|n> for n = 2..q-1
+
+    def diag(block):
+        # block[n1, n2, n1, n2] for every (n1, n2)
+        return np.einsum("ijij->ij", block)
+
     alpha = np.zeros((2, 2), dtype=complex)
     beta = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        a_i_t = ops[i].T
-        for j in range(2):
-            alpha[i, j] = np.sum(a_i_t * lowered[j])
-            beta[i, j] = np.sum(a_i_t * raised[j])
-    alpha = 0.5 * (alpha + alpha.T)
+    alpha[0, 0] = s2 @ diag(r[2:, :, :-2, :]).sum(axis=1)
+    alpha[1, 1] = diag(r[:, 2:, :, :-2]).sum(axis=0) @ s2
+    alpha[0, 1] = alpha[1, 0] = s @ diag(r[1:, 1:, :-1, :-1]) @ s
+    pop = diag(r)
+    beta[0, 0] = s**2 @ pop[:-1, :].sum(axis=1)
+    beta[1, 1] = pop[:, :-1].sum(axis=0) @ s**2
+    beta[0, 1] = s @ diag(r[1:, :-1, :-1, 1:]) @ s
+    beta[1, 0] = s @ diag(r[:-1, 1:, 1:, :-1]) @ s
     return CovarianceBlocks(alpha=alpha, beta=beta)
 
 
 def negativity(state: FockState) -> float:
-    """Sum of |negative eigenvalues| of the partial transpose over mode 1."""
+    """Sum of |negative eigenvalues| of the partial transpose over mode 1.
+
+    Transposing mode 1 maps the entry <n1 n2|rho|m1 m2> to the position
+    (m1 n2, n1 m2), whose two indices again have equal total parity, so the
+    partial transpose of a parity-symmetric rho splits into the same two
+    diagonal blocks as rho."""
     q = state.cutoff + 1
     pt = state.rho.reshape(q, q, q, q).transpose(2, 1, 0, 3).reshape(q * q, q * q)
-    w = np.linalg.eigvalsh(pt)
+    w = np.concatenate([np.linalg.eigvalsh(b) for b in split_parity(pt, state.cutoff)])
     return float(np.abs(w[w < 0]).sum())

@@ -288,3 +288,13 @@ class TestOracleCompare:
         cfg = write_config(tmp_path, doc)
         assert main(["oracle-compare", "--config", cfg, "--cutoff", "3"]) == 6
         assert "truncation leak" in capsys.readouterr().out
+
+    def test_unstable_oracle_step_exits_six(self, capsys):
+        # RK4 at dt = 0.02 is unstable for this bath at cutoff 10; the oracle
+        # must stop when its density matrix leaves the physical set instead of
+        # failing later while reading moments off it
+        cfg = str(CONFIG_DIR / "pure_pair_generation.json")
+        assert main(["oracle-compare", "--config", cfg, "--cutoff", "10", "--oracle-dt", "0.02"]) == 6
+        out = capsys.readouterr().out
+        assert out.startswith("oracle integration failed: ") and out.count("\n") == 1
+        assert "smaller --oracle-dt" in out

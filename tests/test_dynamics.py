@@ -135,7 +135,7 @@ class TestDriftDiffusion:
         rho = fock_oracle.FockState(np.diag(diag).astype(complex), cutoff)
 
         gen = fock_oracle.build_generator(bath, cutoff)
-        drho = gen.apply(np.array(rho.rho))
+        drho = fock_oracle.join_parity(gen.apply(fock_oracle.split_parity(rho.rho, cutoff)), cutoff)
         a1, a2 = fock_oracle.lowering_operators(cutoff)
         ops = (a1, a2)
         dalpha = np.array([[np.trace(ops[i] @ ops[j] @ drho) for j in range(2)] for i in range(2)])

@@ -5,6 +5,7 @@ from quasifree import (
     collective_bath,
     collective_steady_moments,
     drift_diffusion,
+    kossakowski,
     ppt_test,
     propagate_exact,
     pure_product,
@@ -16,6 +17,53 @@ from quasifree.errors import CutoffTooSmall, NotNormalizable, TruncationLeak
 
 from conftest import random_cp_bath
 from test_dynamics import ZERO_BATH, vacuum_noise_bath
+
+
+def reference_superoperator(bath, cutoff):
+    """Dense Kronecker superoperator acting on the row-major vectorized rho,
+    built straight from the Kossakowski matrix on the full space: no jump
+    diagonalization, no sparse algebra and no parity blocks.  Row-major
+    vectorization maps A rho B to kron(A, B^T) vec(rho)."""
+    a1, a2 = fo.lowering_operators(cutoff)
+    f = [a1, a2, a1.conj().T, a2.conj().T]
+    eye = np.eye(a1.shape[0])
+    h = sum(bath.omega[i, j] * f[2 + i] @ f[j] for i in range(2) for j in range(2))
+    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    c = kossakowski(bath)
+    for mu in range(4):
+        for nu in range(4):
+            # c[mu, nu] (F_nu rho F_mu^dag - {F_mu^dag F_nu, rho} / 2)
+            prod = f[mu].conj().T @ f[nu]
+            sup = sup + c[mu, nu] * (
+                np.kron(f[nu], f[mu].conj()) - 0.5 * np.kron(prod, eye) - 0.5 * np.kron(eye, prod.T)
+            )
+    return sup
+
+
+def reference_apply(bath, cutoff, rho):
+    d = rho.shape[0]
+    return (reference_superoperator(bath, cutoff) @ rho.reshape(-1)).reshape(d, d)
+
+
+def random_parity_symmetric(rng, cutoff):
+    """Random Hermitian matrix with no entry between sectors of different
+    total parity."""
+    blocks = []
+    for idx in fo.parity_sectors(cutoff):
+        r = rng.standard_normal((idx.size, idx.size)) + 1j * rng.standard_normal((idx.size, idx.size))
+        blocks.append(r + r.conj().T)
+    return fo.join_parity(blocks, cutoff)
+
+
+def random_parity_symmetric_state(rng, cutoff):
+    """Random parity-symmetric density matrix of full rank."""
+    r = random_parity_symmetric(rng, cutoff)
+    rho = r @ r
+    return fo.FockState(rho / np.trace(rho).real, cutoff)
+
+
+def blocked_apply(gen, rho, cutoff):
+    return fo.join_parity(gen.apply(fo.split_parity(rho, cutoff)), cutoff)
 
 
 class TestOperatorsAndStates:
@@ -57,11 +105,41 @@ class TestOperatorsAndStates:
         with pytest.raises(ValueError):
             fo.FockState(np.eye(9), 2)  # trace 9
 
+    def test_state_refuses_parity_mixing(self):
+        # (|0,0> + |1,0>) / sqrt(2) has <a_1> != 0: its rho connects the even
+        # and the odd sector
+        psi = np.zeros(9, dtype=complex)
+        psi[0] = psi[3] = 1.0 / np.sqrt(2.0)
+        with pytest.raises(ValueError, match="parity-symmetric"):
+            fo.FockState(np.outer(psi, psi.conj()), 2)
+
+    def test_parity_blocks_round_trip(self, rng):
+        for cutoff in (3, 4):  # equal and unequal sector sizes
+            rho = random_parity_symmetric(rng, cutoff)
+            even, odd = fo.parity_sectors(cutoff)
+            assert even.size + odd.size == (cutoff + 1) ** 2
+            assert np.array_equal(fo.join_parity(fo.split_parity(rho, cutoff), cutoff), rho)
+
+    def test_moments_match_dense_traces(self, rng):
+        # the dense products Tr[a_i a_j rho] and Tr[a_i a_j^dag rho] with the
+        # truncated ladder matrices are the reference for the index arithmetic
+        cutoff = 5
+        state = random_parity_symmetric_state(rng, cutoff)
+        a = fo.lowering_operators(cutoff)
+        blocks = fo.extract_moments(state)
+        for i in range(2):
+            for j in range(2):
+                alpha = np.trace(a[i] @ a[j] @ state.rho)
+                beta = np.trace(a[i] @ a[j].conj().T @ state.rho)
+                assert abs(blocks.alpha[i, j] - alpha) < 1e-14
+                assert abs(blocks.beta[i, j] - beta) < 1e-14
+
 
 class TestGenerator:
-    def test_zero_bath_gives_zero_superoperator(self):
+    def test_zero_bath_gives_zero_superoperator(self, rng):
         gen = fo.build_generator(ZERO_BATH, 3)
-        assert np.abs(gen.to_superoperator()).max() == 0.0
+        for block in gen.apply(fo.split_parity(random_parity_symmetric(rng, 3), 3)):
+            assert np.abs(block).max() == 0.0
 
     def test_pure_decay_fixes_vacuum(self):
         import quasifree
@@ -70,27 +148,34 @@ class TestGenerator:
             omega=np.zeros((2, 2)), eta=np.eye(2), sigma=np.zeros((2, 2)), lam=np.zeros((2, 2))
         )
         gen = fo.build_generator(bath, 4)
-        assert np.abs(gen.apply(np.array(fo.vacuum_state(4).rho))).max() < 1e-14
+        assert np.abs(blocked_apply(gen, fo.vacuum_state(4).rho, 4)).max() < 1e-14
 
     def test_superoperator_matches_apply(self, rng):
         bath = random_cp_bath(rng)
         gen = fo.build_generator(bath, 3)
-        rho = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        via_matrix = (gen.to_superoperator() @ rho.reshape(-1)).reshape(16, 16)
-        np.testing.assert_allclose(gen.apply(rho), via_matrix, atol=1e-12)
-        np.testing.assert_allclose(gen.matvec(rho.reshape(-1)).reshape(16, 16), via_matrix, atol=1e-12)
+        rho = random_parity_symmetric(rng, 3)
+        via_matrix = reference_apply(bath, 3, rho)
+        # the full-space generator keeps the parity sectors apart ...
+        even, odd = fo.parity_sectors(3)
+        assert np.abs(via_matrix[np.ix_(even, odd)]).max() < 1e-12
+        # ... and the blocked action reproduces it
+        np.testing.assert_allclose(blocked_apply(gen, rho, 3), via_matrix, atol=1e-12)
 
-    def test_hermitian_fast_path_matches_apply(self, rng):
+    def test_apply_matches_reference_with_unequal_blocks(self, rng):
+        # cutoff 4: 13 even and 12 odd basis states
         bath = random_cp_bath(rng)
         gen = fo.build_generator(bath, 4)
-        r = rng.standard_normal((25, 25)) + 1j * rng.standard_normal((25, 25))
-        rho = 0.5 * (r + r.conj().T)
-        np.testing.assert_allclose(gen._apply_hermitian(rho), gen.apply(rho), atol=1e-12)
+        rho = random_parity_symmetric(rng, 4)
+        drho = gen.apply(fo.split_parity(rho, 4))
+        assert [b.shape for b in drho] == [(13, 13), (12, 12)]
+        for block in drho:
+            assert np.abs(block - block.conj().T).max() == 0.0
+        np.testing.assert_allclose(fo.join_parity(drho, 4), reference_apply(bath, 4, rho), atol=1e-12)
 
     def test_moment_flow_matches_covariance_drift(self):
         bath = vacuum_noise_bath()
         gen = fo.build_generator(bath, 15)
-        drho = gen.apply(np.array(fo.vacuum_state(15).rho))
+        drho = blocked_apply(gen, fo.vacuum_state(15).rho, 15)
         a1, a2 = fo.lowering_operators(15)
         ops = (a1, a2)
         dalpha = np.array([[np.trace(ops[i] @ ops[j] @ drho) for j in range(2)] for i in range(2)])
@@ -114,6 +199,22 @@ class TestEvolution:
         rho0 = fo.thermal_state([0.5, 0.2], 12)
         out = fo.evolve_rho(rho0, ZERO_BATH, 1.3, dt=0.05)
         np.testing.assert_allclose(out.rho, rho0.rho, atol=1e-12)
+
+    def test_blocked_evolution_matches_reference_rk4(self, rng):
+        # the same classical RK4 on the vectorized full-space rho
+        bath = random_cp_bath(rng)
+        rho0 = fo.pure_product_state(0.1, -0.05j, 4)
+        dt, steps = 1.0 / 64, 16
+        sup = reference_superoperator(bath, 4)
+        v = rho0.rho.reshape(-1).copy()
+        for _ in range(steps):
+            k1 = sup @ v
+            k2 = sup @ (v + 0.5 * dt * k1)
+            k3 = sup @ (v + 0.5 * dt * k2)
+            k4 = sup @ (v + dt * k3)
+            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out = fo.evolve_rho(rho0, bath, steps * dt, dt=dt)
+        assert np.abs(out.rho - v.reshape(25, 25)).max() <= 1e-12
 
     def test_trace_and_hermiticity_preserved(self, rng):
         bath = random_cp_bath(rng)
@@ -170,6 +271,25 @@ class TestEvolution:
 
 
 class TestNegativity:
+    def test_blocked_negativity_matches_full_spectrum(self, rng):
+        cutoff = 6
+        q = cutoff + 1
+        # two-mode squeezed pure state sum_n x^n |n, n>, mixed with a random
+        # parity-symmetric state: strongly entangled, generic spectrum
+        psi = np.zeros(q * q, dtype=complex)
+        psi[np.arange(q) * (q + 1)] = 0.6 ** np.arange(q)
+        psi /= np.linalg.norm(psi)
+        pure = np.outer(psi, psi.conj())
+        noise = random_parity_symmetric_state(rng, cutoff).rho
+        full = []
+        for rho in (pure, 0.7 * pure + 0.3 * noise, noise):
+            state = fo.FockState(rho, cutoff)
+            pt = state.rho.reshape(q, q, q, q).transpose(2, 1, 0, 3).reshape(q * q, q * q)
+            w = np.linalg.eigvalsh(pt)
+            full.append(float(np.abs(w[w < 0]).sum()))
+            assert abs(fo.negativity(state) - full[-1]) < 1e-12
+        assert full[0] > full[1] > 0.1
+
     def test_product_states_have_zero_negativity(self):
         assert fo.negativity(fo.vacuum_state(6)) == 0.0
         assert fo.negativity(fo.thermal_state([0.7, 0.3], 12)) < 1e-12
