@@ -25,7 +25,6 @@ from .entanglement import (
     asymptotic_threshold,
     generation_witness,
     initial_null_basis,
-    partial_transpose,
     ppt_test,
     pt_min_eigenvalue,
     scan_generation_witness,
@@ -37,7 +36,6 @@ from .gaussian_state import (
     CovarianceBlocks,
     collective_covariance,
     from_blocks,
-    full_transpose,
     is_physical,
     pure_product,
     sigma_matrix,
@@ -66,13 +64,11 @@ __all__ = [
     "errors",
     "fock_oracle",
     "from_blocks",
-    "full_transpose",
     "generation_witness",
     "initial_null_basis",
     "is_physical",
     "kossakowski",
     "matkit",
-    "partial_transpose",
     "ppt_test",
     "propagate_exact",
     "propagate_steps",

@@ -61,6 +61,15 @@ EXIT_NO_WITNESS = 4
 EXIT_UNSTABLE = 5
 EXIT_ORACLE = 6
 
+# Exit code of an error that escapes a verb: the first entry that matches.
+_EXIT_CODES = (
+    (NotCP, EXIT_NOT_CP),
+    (EmptyNullSpace, EXIT_NO_WITNESS),
+    (Unstable, EXIT_UNSTABLE),
+    (TruncationLeak, EXIT_ORACLE),
+    ((QuasifreeError, OSError), EXIT_USAGE),
+)
+
 _SWEEP_PARAMS = ("lambda_abs", "eta", "sigma", "omega")
 
 
@@ -174,7 +183,7 @@ def cmd_steady(args) -> int:
     try:
         alpha_inf, beta_inf = collective_steady_moments(p.eta, p.sigma, p.omega, p.lam)
         lam_sq_min, cp_max, feasible = asymptotic_threshold(p.eta, p.sigma, p.omega)
-    except (Unstable, QuasifreeError) as exc:
+    except QuasifreeError as exc:
         print(f"no unique asymptotic state: {exc}")
         return EXIT_UNSTABLE
 
@@ -274,6 +283,7 @@ def cmd_oracle_compare(args) -> int:
         print(f"bath is not completely positive (min eigenvalue {_fmt(min_eig)})")
         return EXIT_NOT_CP
 
+    v0 = build_initial_covariance(cfg)
     if cfg.initial_kind == "vacuum":
         rho = fock_oracle.vacuum_state(args.cutoff)
     elif cfg.initial_kind == "pure":
@@ -289,7 +299,6 @@ def cmd_oracle_compare(args) -> int:
     else:
         raise ConfigError(f"oracle comparison supports vacuum/pure/thermal initial states, not {cfg.initial_kind!r}")
 
-    v0 = build_initial_covariance(cfg)
     trajectory = propagate_steps(v0, cfg.bath, cfg.t_max, cfg.dt, allow_non_cp=cfg.allow_non_cp)
 
     max_dev = 0.0
@@ -376,21 +385,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except NotCP as exc:
+    except (QuasifreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CP
-    except EmptyNullSpace as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_WITNESS
-    except Unstable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
-    except TruncationLeak as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
-    except (ConfigError, UnknownParam, QuasifreeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 def entry_point() -> None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import matkit
 from .errors import DomainError, NonPhysicalInput, NotCP, Unstable
-from .gaussian_state import Covariance, is_physical
+from .gaussian_state import Covariance, _lock, is_physical
 
 # check_cp admits eigenvalues down to -CP_RTOL * ||C|| (spectral norm).
 CP_RTOL = 1e-12
@@ -32,12 +32,6 @@ CP_RTOL = 1e-12
 STABILITY_TOL = 1e-12
 
 _ONES2 = np.ones((2, 2))
-
-
-def _lock(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,10 @@ both directions.
 The generation witness asks whether the bath starts to entangle a separable
 initial state at t = 0+: pick a null vector psi of V~(0) + Sigma/2 and test
 whether Q(t) = <psi| V~(t) + Sigma/2 |psi> acquires a negative derivative.
+That derivative is a Hermitian form in psi, so its minimum over the unit null
+vectors is the smallest eigenvalue of the form compressed to the null space
+(Courant-Fischer), and the scan solves that k x k eigenproblem, k <= 2 for
+the boundary states of interest, instead of searching the null space.
 """
 
 from dataclasses import dataclass
@@ -31,34 +35,26 @@ from .gaussian_state import Covariance, collective_covariance, is_physical, sigm
 # with separability so that boundary states are not misreported as entangled.
 ENT_TOL = 1e-10
 
-# Permutation exchanging rows/columns 1 and 3 (mode ordering a1, a2, a1+, a2+):
-# the covariance-level action of transposing the first mode.
-T_MATRIX = np.array(
-    [
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [1, 0, 0, 0],
-        [0, 0, 0, 1],
-    ],
-    dtype=complex,
-)
+# The permutation T exchanging entries 0 and 2 of the mode ordering
+# (a1, a2, a1+, a2+), the covariance-level action of transposing the first
+# mode, kept as an index: T x is x[_T] and T M T is M[np.ix_(_T, _T)].
+_T = np.array([2, 1, 0, 3])
+
+_HALF_SIGMA = 0.5 * sigma_matrix(2)
+_HALF_SIGMA.setflags(write=False)
 
 
-def _require_two_modes(cov: Covariance) -> None:
+def _pt_matrix(cov: Covariance) -> np.ndarray:
+    """V~ + Sigma/2 = T V T + Sigma/2, the matrix whose spectrum decides the
+    PPT test and whose null space carries the witness."""
     if cov.n != 2:
         raise WrongModeCount(f"partial transposition is defined here for 2 modes, got {cov.n}")
-
-
-def partial_transpose(cov: Covariance) -> Covariance:
-    """Covariance of the partially transposed state: V~ = T V T."""
-    _require_two_modes(cov)
-    return Covariance(T_MATRIX @ cov.v @ T_MATRIX, 2)
+    return cov.v[np.ix_(_T, _T)] + _HALF_SIGMA
 
 
 def pt_min_eigenvalue(cov: Covariance) -> float:
     """Minimum eigenvalue of V~ + Sigma/2 (negative certifies entanglement)."""
-    _require_two_modes(cov)
-    w, _ = matkit.hermitian_eigensystem(T_MATRIX @ cov.v @ T_MATRIX + 0.5 * sigma_matrix(2))
+    w, _ = matkit.hermitian_eigensystem(_pt_matrix(cov))
     return float(w[0])
 
 
@@ -84,8 +80,7 @@ def initial_null_basis(cov: Covariance, tol: float = matkit.NULL_SPACE_RTOL) -> 
     strictly interior states do not, and then the witness construction is
     inapplicable (fall back to ppt_test along the trajectory).
     """
-    _require_two_modes(cov)
-    basis = matkit.null_space(T_MATRIX @ cov.v @ T_MATRIX + 0.5 * sigma_matrix(2), tol=tol)
+    basis = matkit.null_space(_pt_matrix(cov), tol=tol)
     if basis.shape[1] == 0:
         raise EmptyNullSpace(
             "V~(0) + Sigma/2 has no null vector; the derivative witness does not apply"
@@ -138,7 +133,7 @@ def generation_witness(
 
     which equals (lhs - rhs)/2 because psi annihilates V~(0) + Sigma/2.
     """
-    _require_two_modes(v0)
+    m0 = _pt_matrix(v0)
     if not allow_non_cp:
         ok, min_c = check_cp(bath)
         if not ok:
@@ -149,8 +144,6 @@ def generation_witness(
         raise NotNullVector("psi must be nonzero")
     psi = psi / norm
 
-    sigma = sigma_matrix(2)
-    m0 = T_MATRIX @ v0.v @ T_MATRIX + 0.5 * sigma
     m_norm = float(np.linalg.norm(m0, ord=2))
     residual = float(np.linalg.norm(m0 @ psi))
     if residual > null_residual_tol * max(m_norm, 1.0):
@@ -159,8 +152,8 @@ def generation_witness(
         )
 
     gen = drift_diffusion(bath)
-    psi_t = T_MATRIX @ psi
-    sigma_t = T_MATRIX @ sigma @ T_MATRIX
+    psi_t = psi[_T]
+    sigma_t = sigma_matrix(2)[np.ix_(_T, _T)]
     lhs = float(np.real(psi_t.conj() @ (2.0 * gen.b) @ psi_t))
     rhs = float(np.real(psi_t.conj() @ (gen.a.conj().T @ sigma_t + sigma_t @ gen.a) @ psi_t))
     flow = gen.a.conj().T @ v0.v + v0.v @ gen.a + gen.b
@@ -178,31 +171,27 @@ def scan_generation_witness(
     v0: Covariance,
     bath: BathSpec,
     *,
-    n_theta: int = 25,
-    n_phi: int = 48,
     allow_non_cp: bool = False,
 ) -> WitnessReport:
-    """Scan the whole null-space family psi(theta, phi) and return the report
-    with the most negative derivative.
+    """The witness report for the null vector with the most negative
+    derivative.
 
     The witness condition only requires that *some* suitable null vector
-    exists, so a single fixed choice can miss generation that the scan finds.
+    exists, so a single fixed choice can miss generation.  With P the
+    orthonormal null basis and F = A^dag V(0) + V(0) A + B, the derivative
+    for psi = P c is c^dag (TP)^dag F (TP) c, so by Courant-Fischer its
+    minimum over unit vectors is the smallest eigenvalue of that k x k
+    Hermitian matrix and its eigenvector c gives the best psi, which is then
+    evaluated once by generation_witness.
     """
     basis = initial_null_basis(v0)
-    if basis.shape[1] == 1:
-        candidates = [basis[:, 0]]
-    else:
-        b1, b2 = basis[:, 0], basis[:, 1]
-        candidates = []
-        for theta in np.linspace(0.0, np.pi / 2, n_theta):
-            for phi in np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False):
-                candidates.append(np.cos(theta) * b1 + np.sin(theta) * np.exp(1j * phi) * b2)
-    best = None
-    for psi in candidates:
-        report = generation_witness(v0, bath, psi, allow_non_cp=allow_non_cp)
-        if best is None or report.q_derivative < best.q_derivative:
-            best = report
-    return best
+    gen = drift_diffusion(bath)
+    flow = gen.a.conj().T @ v0.v + v0.v @ gen.a + gen.b
+    basis_t = basis[_T]
+    form = basis_t.conj().T @ flow @ basis_t
+    # F is Hermitian only up to roundoff, which can dominate a form near zero
+    _, c = matkit.hermitian_eigensystem(0.5 * (form + form.conj().T))
+    return generation_witness(v0, bath, basis @ c[:, 0], allow_non_cp=allow_non_cp)
 
 
 def vacuum_condition(bath: BathSpec) -> bool:
@@ -231,10 +220,7 @@ def asymptotic_pt_eigenvalues(alpha_inf: complex, beta_inf: float) -> np.ndarray
     values are beta_inf - 1/2 + (s1 |alpha_inf| + s2 sqrt(1 + |alpha_inf|^2))/2
     over the sign choices s1, s2 = +-1, which the tests cross-check.
     """
-    cov = asymptotic_covariance(alpha_inf, beta_inf)
-    w, _ = matkit.hermitian_eigensystem(
-        T_MATRIX @ cov.v @ T_MATRIX + 0.5 * sigma_matrix(2)
-    )
+    w, _ = matkit.hermitian_eigensystem(_pt_matrix(asymptotic_covariance(alpha_inf, beta_inf)))
     return w
 
 

@@ -54,13 +54,6 @@ def _sparse_lowering_operators(cutoff: int):
     return scipy.sparse.kron(a, eye, format="csr"), scipy.sparse.kron(eye, a, format="csr")
 
 
-def lowering_operators(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense truncated lowering operators (a_1, a_2) on the two-mode space
-    with per-mode occupation 0..cutoff."""
-    a1, a2 = _sparse_lowering_operators(cutoff)
-    return a1.toarray(), a2.toarray()
-
-
 def parity_sectors(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the |n1, n2> basis states with even and with odd n1 + n2."""
     n = np.arange(cutoff + 1)

@@ -159,10 +159,3 @@ def is_physical(cov: Covariance, tol: float = PHYSICALITY_TOL) -> tuple[bool, fl
     min_eig = float(w[0])
     return min_eig >= -tol, min_eig
 
-
-def full_transpose(cov: Covariance) -> Covariance:
-    """Transpose of the state: alpha <-> alpha*, beta <-> beta^T.
-
-    Maps physical covariances to physical covariances for every mode count.
-    """
-    return from_blocks(cov.alpha.conj(), cov.beta.T)

@@ -3,7 +3,19 @@
 import numpy as np
 import pytest
 
-from quasifree import BathSpec, kossakowski, propagate_exact, vacuum
+from quasifree import BathSpec, Covariance, from_blocks, kossakowski, propagate_exact, vacuum
+
+# The permutation matrix exchanging a_1 and a_1^dag in the ordering
+# (a1, a2, a1+, a2+): transposition of the first mode at the covariance level.
+T_MATRIX = np.array(
+    [
+        [0, 0, 1, 0],
+        [0, 1, 0, 0],
+        [1, 0, 0, 0],
+        [0, 0, 0, 1],
+    ],
+    dtype=complex,
+)
 
 
 def random_cp_bath(rng, strength=1.0, damping_bias=0.8, omega_scale=0.5):
@@ -49,6 +61,24 @@ def random_physical_covariance(rng, t=0.7):
     """A generic physical two-mode covariance: the vacuum evolved for a while
     under a random CP bath."""
     return propagate_exact(vacuum(2), random_cp_bath(rng, strength=rng.uniform(0.4, 1.5)), t)
+
+
+def partial_transpose(cov):
+    """Reference partial transpose: the covariance T V T."""
+    return Covariance(T_MATRIX @ cov.v @ T_MATRIX, 2)
+
+
+def full_transpose(cov):
+    """Reference full transpose of the state: alpha <-> alpha*, beta <-> beta^T."""
+    return from_blocks(cov.alpha.conj(), cov.beta.T)
+
+
+def lowering_operators(cutoff):
+    """Reference dense truncated lowering operators (a_1, a_2) on the
+    two-mode space with per-mode occupation 0..cutoff."""
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1).astype(complex)
+    eye = np.eye(cutoff + 1)
+    return np.kron(a, eye), np.kron(eye, a)
 
 
 @pytest.fixture

@@ -21,19 +21,19 @@ from quasifree import (
     generation_witness,
     initial_null_basis,
     is_physical,
-    partial_transpose,
     ppt_test,
     propagate_exact,
     propagate_steps,
     pt_min_eigenvalue,
     pure_product,
+    sigma_matrix,
     steady_state,
     symmetric_null_vector,
     vacuum,
 )
 from quasifree import fock_oracle as fo
 
-from conftest import random_cp_bath, rotated_collective_bath
+from conftest import partial_transpose, random_cp_bath, rotated_collective_bath
 
 
 def test_criterion_1_vacuum_bath_generation():
@@ -239,10 +239,13 @@ def test_criterion_8_property_suites():
         if abs(rep.q_derivative) > 1e-12:
             assert (rep.q_derivative < 0) == (rep.lhs < rep.rhs)
 
-    # partial transposition is an involution
+    # partial transposition is an involution, and the PT test reads the
+    # spectrum of T V T + Sigma/2
     for _ in range(20):
         v = propagate_exact(vacuum(2), random_cp_bath(rng), rng.uniform(0.1, 2.0))
         assert np.abs(partial_transpose(partial_transpose(v)).v - v.v).max() < 1e-14
+        reference = np.linalg.eigvalsh(partial_transpose(v).v + 0.5 * sigma_matrix(2))[0]
+        assert abs(pt_min_eigenvalue(v) - reference) < 1e-13
 
     # separable states have nonnegative PT spectra, including the mixed
     # collective family (where the scalar inequality 2 b0 binf >= b0 + binf

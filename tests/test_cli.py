@@ -273,6 +273,15 @@ class TestOracleCompare:
         cfg = write_config(tmp_path, doc)
         assert main(["oracle-compare", "--config", cfg, "--cutoff", "10", "--oracle-dt", "0.002"]) == 0
 
+    def test_invalid_initial_state_exits_one(self, tmp_path, capsys):
+        # the config is validated before the oracle builds its Fock state,
+        # so the error matches the one 'evolve' reports
+        doc = json.loads((CONFIG_DIR / "vacuum_generation.json").read_text())
+        doc["initial_state"] = {"kind": "thermal", "occupations": [-0.5, 0.1]}
+        cfg = write_config(tmp_path, doc)
+        assert main(["oracle-compare", "--config", cfg, "--cutoff", "4"]) == 1
+        assert "invalid initial state" in capsys.readouterr().err
+
     def test_truncation_leak_exits_six(self, tmp_path, capsys):
         doc = {
             "modes": 2,

@@ -18,7 +18,7 @@ from quasifree import (
 )
 from quasifree.errors import DomainError, NonPhysicalInput, NotCP, NotHermitian, Unstable
 
-from conftest import random_cp_bath
+from conftest import lowering_operators, random_cp_bath
 
 
 def vacuum_noise_bath():
@@ -136,7 +136,7 @@ class TestDriftDiffusion:
 
         gen = fock_oracle.build_generator(bath, cutoff)
         drho = fock_oracle.join_parity(gen.apply(fock_oracle.split_parity(rho.rho, cutoff)), cutoff)
-        a1, a2 = fock_oracle.lowering_operators(cutoff)
+        a1, a2 = lowering_operators(cutoff)
         ops = (a1, a2)
         dalpha = np.array([[np.trace(ops[i] @ ops[j] @ drho) for j in range(2)] for i in range(2)])
         dbeta = np.array(

@@ -15,7 +15,7 @@ from quasifree import (
 from quasifree import fock_oracle as fo
 from quasifree.errors import CutoffTooSmall, NotNormalizable, TruncationLeak
 
-from conftest import random_cp_bath
+from conftest import lowering_operators, random_cp_bath
 from test_dynamics import ZERO_BATH, vacuum_noise_bath
 
 
@@ -24,7 +24,7 @@ def reference_superoperator(bath, cutoff):
     built straight from the Kossakowski matrix on the full space: no jump
     diagonalization, no sparse algebra and no parity blocks.  Row-major
     vectorization maps A rho B to kron(A, B^T) vec(rho)."""
-    a1, a2 = fo.lowering_operators(cutoff)
+    a1, a2 = lowering_operators(cutoff)
     f = [a1, a2, a1.conj().T, a2.conj().T]
     eye = np.eye(a1.shape[0])
     h = sum(bath.omega[i, j] * f[2 + i] @ f[j] for i in range(2) for j in range(2))
@@ -68,7 +68,7 @@ def blocked_apply(gen, rho, cutoff):
 
 class TestOperatorsAndStates:
     def test_commutator_truncated(self):
-        a1, a2 = fo.lowering_operators(6)
+        a1, a2 = lowering_operators(6)
         comm = a1 @ a1.conj().T - a1.conj().T @ a1
         # canonical except on the top level, where truncation bites
         q = 7
@@ -76,10 +76,13 @@ class TestOperatorsAndStates:
         assert np.abs(diag[: q - 1, :] - 1.0).max() < 1e-14
         assert np.abs(comm - np.diag(np.diagonal(comm))).max() < 1e-14
         assert np.abs(a1 @ a2 - a2 @ a1).max() == 0.0
+        # the oracle builds its generator from these matrices, held sparse
+        for ours, ref in zip(fo._sparse_lowering_operators(6), (a1, a2)):
+            assert np.array_equal(ours.toarray(), ref)
 
     def test_cutoff_guard(self):
         with pytest.raises(CutoffTooSmall):
-            fo.lowering_operators(1)
+            fo.build_generator(ZERO_BATH, 1)
 
     def test_vacuum_moments(self):
         blocks = fo.extract_moments(fo.vacuum_state(8))
@@ -125,7 +128,7 @@ class TestOperatorsAndStates:
         # truncated ladder matrices are the reference for the index arithmetic
         cutoff = 5
         state = random_parity_symmetric_state(rng, cutoff)
-        a = fo.lowering_operators(cutoff)
+        a = lowering_operators(cutoff)
         blocks = fo.extract_moments(state)
         for i in range(2):
             for j in range(2):
@@ -176,7 +179,7 @@ class TestGenerator:
         bath = vacuum_noise_bath()
         gen = fo.build_generator(bath, 15)
         drho = blocked_apply(gen, fo.vacuum_state(15).rho, 15)
-        a1, a2 = fo.lowering_operators(15)
+        a1, a2 = lowering_operators(15)
         ops = (a1, a2)
         dalpha = np.array([[np.trace(ops[i] @ ops[j] @ drho) for j in range(2)] for i in range(2)])
         dbeta = np.array(

@@ -5,7 +5,6 @@ from quasifree import (
     CovarianceBlocks,
     collective_covariance,
     from_blocks,
-    full_transpose,
     is_physical,
     matkit,
     pure_product,
@@ -16,7 +15,7 @@ from quasifree import (
 from quasifree import fock_oracle
 from quasifree.errors import NegativeOccupation, NotHermitian, NotNormalizable
 
-from conftest import random_physical_covariance
+from conftest import full_transpose, random_physical_covariance
 
 
 class TestConstructors:

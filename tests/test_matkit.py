@@ -3,9 +3,11 @@ import pytest
 
 from quasifree import matkit
 from quasifree.dynamics import collective_steady_moments
-from quasifree.entanglement import T_MATRIX, asymptotic_covariance
+from quasifree.entanglement import asymptotic_covariance
 from quasifree.errors import NotHermitian, NotSquare, Resonant
 from quasifree.gaussian_state import sigma_matrix
+
+from conftest import T_MATRIX
 
 
 def random_hermitian(rng, n):
