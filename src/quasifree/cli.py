@@ -303,11 +303,11 @@ def cmd_oracle_compare(args) -> int:
 
     max_dev = 0.0
     disagreements = 0
+    # One oracle trajectory over the covariance sample times: the generator
+    # is built once and each sample continues from the one before it.
+    oracle = fock_oracle.evolve_trajectory(rho, cfg.bath, trajectory.times[1:], dt=args.oracle_dt)
     try:
-        for k in range(1, len(trajectory.times)):
-            step = trajectory.times[k] - trajectory.times[k - 1]
-            rho = fock_oracle.evolve_rho(rho, cfg.bath, step, dt=args.oracle_dt)
-            state = trajectory.states[k]
+        for rho, state in zip(oracle, trajectory.states[1:]):
             blocks = fock_oracle.extract_moments(rho)
             dev = max(
                 float(np.abs(blocks.alpha - state.alpha).max()),

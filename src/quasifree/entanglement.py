@@ -233,10 +233,11 @@ def asymptotic_threshold(eta: float, sigma: float, omega: float) -> tuple[float,
         lambda_sq_min = 4 eta^2 sigma^2 [(eta - sigma)^2 + omega^2] / (eta^2 - sigma^2)^2,
 
     while complete positivity caps |lam|^2 at cp_max = eta * sigma; feasible
-    says whether the window between the two is nonempty.
+    says whether the window between the two is nonempty.  A pure-decay bath
+    (sigma = 0) has threshold 0, CP bound 0 and an empty window.
     """
-    if not (eta > sigma > 0):
-        raise DomainError(f"requires eta > sigma > 0, got eta={eta}, sigma={sigma}")
+    if not (eta > sigma >= 0):
+        raise DomainError(f"requires eta > sigma >= 0, got eta={eta}, sigma={sigma}")
     if omega < 0:
         raise DomainError(f"omega must be >= 0, got {omega}")
     lambda_sq_min = 4.0 * eta**2 * sigma**2 * ((eta - sigma) ** 2 + omega**2) / (eta**2 - sigma**2) ** 2

@@ -17,11 +17,17 @@ operator is linear, so the generator never mixes the two parity sectors: rho
 is evolved as its even and odd diagonal blocks, each of half the dimension,
 and the partial transpose splits into the same two blocks.
 
+The generator is time-independent, so a whole trajectory is one flow:
+evolve_trajectory builds it once and yields the state at each sample time,
+and evolve_rho is its one-sample case.
+
 A hard-truncated Fock space cannot hold a Gaussian state exactly, so results
 are only trusted while the population of the top number level stays below
 TRUNCATION_TOL.
 """
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,59 +257,84 @@ def top_level_population(state: FockState) -> float:
     return float(diag[q - 1, :].sum() + diag[:, q - 1].sum() - diag[q - 1, q - 1])
 
 
+def evolve_trajectory(
+    rho0: FockState, bath: BathSpec, times, dt: float = DEFAULT_DT
+) -> Iterator[FockState]:
+    """Yield the state at each of the absolute sample times, integrating the
+    master equation once along the whole trajectory with one generator.
+
+    times must be non-negative and non-decreasing.  An interval of length
+    tau takes ceil(tau/dt - 1e-9) fixed fourth-order steps of min(dt, what
+    remains) on the two parity blocks of rho, and continues from the previous
+    sample, trace-normalized as it was yielded.
+
+    Hermiticity is enforced by symmetrization after every step; the trace is
+    checked at each sample (the generator is trace-free, so drift beyond
+    roundoff signals an integrator failure), and so is positivity: an
+    eigenvalue below -TRUNCATION_TOL raises NumericalFailure.  Raises
+    TruncationLeak when the top number level accumulates more than
+    TRUNCATION_TOL population.  Either error ends the trajectory after the
+    samples before it have been yielded.
+    """
+    times = [float(t) for t in times]
+    if any(t < 0 for t in times):
+        raise ValueError("sample times must be >= 0")
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise ValueError("sample times must be non-decreasing")
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
+    cutoff = rho0.cutoff
+    gen = build_generator(bath, cutoff)
+    state = rho0
+    t_prev = 0.0
+    for t in times:
+        rho = split_parity(state.rho, cutoff)
+        remaining = t - t_prev
+        # The step count is fixed up front, so roundoff in remaining never
+        # adds a step; what it leaves over is below 1e-9 dt.
+        for _ in range(math.ceil(remaining / dt - 1e-9)):
+            step = min(dt, remaining)
+            k1 = gen.apply(rho)
+            k2 = gen.apply([r + 0.5 * step * k for r, k in zip(rho, k1)])
+            k3 = gen.apply([r + 0.5 * step * k for r, k in zip(rho, k2)])
+            k4 = gen.apply([r + step * k for r, k in zip(rho, k3)])
+            rho = [
+                r + (step / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                for r, a, b, c, d in zip(rho, k1, k2, k3, k4)
+            ]
+            rho = [0.5 * (r + r.conj().T) for r in rho]
+            remaining -= step
+        t_prev = t
+        full = join_parity(rho, cutoff)
+        trace = complex(np.trace(full))
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise NumericalFailure(f"trace drifted to {trace}")
+        # The truncated generator is itself of Lindblad form, so for a CP bath
+        # only the integrator can move population to where a physical state has
+        # none; the same bound as the truncation leak decides when to stop.
+        min_eig = min(float(np.linalg.eigvalsh(r)[0]) for r in rho)
+        if min_eig < -TRUNCATION_TOL:
+            raise NumericalFailure(
+                f"integrated density matrix has eigenvalue {min_eig:.3e} < -{TRUNCATION_TOL:.0e}; "
+                f"the step dt={dt:g} is unstable for this generator, or the bath is not "
+                "completely positive"
+            )
+        state = FockState(full / trace.real, cutoff)
+        leak = top_level_population(state)
+        if leak > TRUNCATION_TOL:
+            raise TruncationLeak(
+                f"top number level holds {leak:.3e} > {TRUNCATION_TOL:.0e}; "
+                "increase the cutoff or shorten the evolution"
+            )
+        yield state
+
+
 def evolve_rho(
     rho0: FockState, bath: BathSpec, t: float, dt: float = DEFAULT_DT
 ) -> FockState:
-    """Fixed-step fourth-order integration of the master equation on the two
-    parity blocks of rho.
-
-    Hermiticity is enforced by symmetrization after every step; the trace is
-    checked at the end (the generator is trace-free, so drift beyond roundoff
-    signals an integrator failure), and so is positivity: an eigenvalue below
-    -TRUNCATION_TOL raises NumericalFailure.  Raises TruncationLeak when the
-    top number level accumulates more than TRUNCATION_TOL population.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    gen = build_generator(bath, rho0.cutoff)
-    rho = split_parity(rho0.rho, rho0.cutoff)
-    remaining = float(t)
-    while remaining > 1e-15:
-        step = min(dt, remaining)
-        k1 = gen.apply(rho)
-        k2 = gen.apply([r + 0.5 * step * k for r, k in zip(rho, k1)])
-        k3 = gen.apply([r + 0.5 * step * k for r, k in zip(rho, k2)])
-        k4 = gen.apply([r + step * k for r, k in zip(rho, k3)])
-        rho = [
-            r + (step / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for r, a, b, c, d in zip(rho, k1, k2, k3, k4)
-        ]
-        rho = [0.5 * (r + r.conj().T) for r in rho]
-        remaining -= step
-    full = join_parity(rho, rho0.cutoff)
-    trace = complex(np.trace(full))
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise NumericalFailure(f"trace drifted to {trace}")
-    # The truncated generator is itself of Lindblad form, so for a CP bath
-    # only the integrator can move population to where a physical state has
-    # none; the same bound as the truncation leak decides when to stop.
-    min_eig = min(float(np.linalg.eigvalsh(r)[0]) for r in rho)
-    if min_eig < -TRUNCATION_TOL:
-        raise NumericalFailure(
-            f"integrated density matrix has eigenvalue {min_eig:.3e} < -{TRUNCATION_TOL:.0e}; "
-            f"the step dt={dt:g} is unstable for this generator, or the bath is not "
-            "completely positive"
-        )
-    out = FockState(full / trace.real, rho0.cutoff)
-    leak = top_level_population(out)
-    if leak > TRUNCATION_TOL:
-        raise TruncationLeak(
-            f"top number level holds {leak:.3e} > {TRUNCATION_TOL:.0e}; "
-            "increase the cutoff or shorten the evolution"
-        )
-    return out
+    """The state after evolving rho0 for time t: the one-sample case of
+    evolve_trajectory, with the same steps and checks."""
+    return next(evolve_trajectory(rho0, bath, (t,), dt))
 
 
 def extract_moments(state: FockState) -> CovarianceBlocks:

@@ -178,11 +178,8 @@ def test_criterion_7_oracle_equivalence():
     for bath in baths:
         ok, _ = check_cp(bath)
         assert ok
-        rho = fo.vacuum_state(cutoff)
-        t_prev = 0.0
-        for t in sample_times:
-            rho = fo.evolve_rho(rho, bath, t - t_prev, dt=5e-3)
-            t_prev = t
+        oracle = fo.evolve_trajectory(fo.vacuum_state(cutoff), bath, sample_times, dt=5e-3)
+        for t, rho in zip(sample_times, oracle):
             state = propagate_exact(vacuum(2), bath, t)
             blocks = fo.extract_moments(rho)
             dev = max(

@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from quasifree import (
     asymptotic_covariance,
@@ -195,6 +196,15 @@ class TestSteady:
         cfg = write_config(tmp_path, collective_config(eta=0.5, sigma=0.5, lam=0.3))
         assert main(["steady", "--config", cfg]) == 5
 
+    def test_pure_decay_relaxes_to_the_vacuum(self, tmp_path, capsys):
+        # eta = 1, sigma = 0: the unique asymptotic state is the vacuum, which
+        # sits on the separability boundary
+        cfg = write_config(tmp_path, collective_config(eta=1.0, sigma=0.0, omega=0.0, lam=0.0))
+        assert main(["steady", "--config", cfg]) == 3
+        out = capsys.readouterr().out
+        assert "beta_inf = 1\n" in out
+        assert "asymptotically entangled: boundary/indeterminate" in out
+
     def test_boundary_is_reported_as_indeterminate(self, tmp_path, capsys):
         # sitting exactly on the threshold |lambda|^2 = lambda_sq_min
         lam_star = float(np.sqrt(0.46222222222222226))
@@ -297,6 +307,17 @@ class TestOracleCompare:
         cfg = write_config(tmp_path, doc)
         assert main(["oracle-compare", "--config", cfg, "--cutoff", "3"]) == 6
         assert "truncation leak" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "name,deviation",
+        [("vacuum_generation", "4.7007313034308496e-05"), ("pure_pair_generation", "0.0003055296210674463")],
+    )
+    def test_shipped_configs_output_is_fixed(self, capsys, name, deviation):
+        # the exact bytes of the oracle trajectory on the shipped configs
+        cfg = str(CONFIG_DIR / f"{name}.json")
+        assert main(["oracle-compare", "--config", cfg, "--cutoff", "10", "--oracle-dt", "5e-3"]) == 0
+        out = capsys.readouterr().out
+        assert out == f"max absolute moment deviation: {deviation}\nverdict disagreements: 0 of 25\n"
 
     def test_unstable_oracle_step_exits_six(self, capsys):
         # RK4 at dt = 0.02 is unstable for this bath at cutoff 10; the oracle

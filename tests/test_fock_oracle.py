@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quasifree import (
+    BathSpec,
     collective_bath,
     collective_steady_moments,
     drift_diffusion,
@@ -60,6 +61,13 @@ def random_parity_symmetric_state(rng, cutoff):
     r = random_parity_symmetric(rng, cutoff)
     rho = r @ r
     return fo.FockState(rho / np.trace(rho).real, cutoff)
+
+
+# Pumps both modes out of the vacuum: the top level of a small cutoff fills
+# within t ~ 0.05.
+PUMP_BATH = BathSpec(
+    omega=np.zeros((2, 2)), eta=0.2 * np.eye(2), sigma=2.0 * np.eye(2), lam=np.zeros((2, 2))
+)
 
 
 def blocked_apply(gen, rho, cutoff):
@@ -242,22 +250,14 @@ class TestEvolution:
         assert abs(alpha_sym - (1 - np.exp(-2 * (eta - sigma + 1j * omega) * t)) * a_inf) < tol
 
     def test_truncation_guard_fires(self):
-        import quasifree
-
-        pump = quasifree.BathSpec(
-            omega=np.zeros((2, 2)), eta=0.2 * np.eye(2), sigma=2.0 * np.eye(2), lam=np.zeros((2, 2))
-        )
         with pytest.raises(TruncationLeak):
-            fo.evolve_rho(fo.vacuum_state(3), pump, 2.0, dt=5e-3)
+            fo.evolve_rho(fo.vacuum_state(3), PUMP_BATH, 2.0, dt=5e-3)
 
     def test_vacuum_noise_trajectory_matches_covariance(self):
         # cross-coupled decay/pump bath from the vacuum, t <= 1 at cutoff 15
         bath = vacuum_noise_bath()
-        rho = fo.vacuum_state(15)
-        t_prev = 0.0
-        for t in (0.5, 1.0):
-            rho = fo.evolve_rho(rho, bath, t - t_prev, dt=5e-3)
-            t_prev = t
+        times = (0.5, 1.0)
+        for t, rho in zip(times, fo.evolve_trajectory(fo.vacuum_state(15), bath, times, dt=5e-3)):
             blocks = fo.extract_moments(rho)
             state = propagate_exact(vacuum(2), bath, t)
             dev = max(
@@ -265,12 +265,61 @@ class TestEvolution:
             )
             assert dev < 1e-4
 
+    def test_step_count_is_an_integer_per_interval(self, monkeypatch):
+        # 1.09 / 5e-3 is 218 steps; subtracting dt 218 times leaves ~1e-13,
+        # which must not become a 219th step
+        calls = []
+        apply = fo.LindbladGenerator.apply
+        monkeypatch.setattr(fo.LindbladGenerator, "apply", lambda gen, rho: calls.append(1) or apply(gen, rho))
+        fo.evolve_rho(fo.vacuum_state(2), ZERO_BATH, 1.09, dt=5e-3)
+        assert len(calls) == 4 * 218
+
     def test_cutoff_convergence_weak_excitation(self):
         bath = collective_bath(1.0, 0.4, 0.0, 0.2)
         m10 = fo.extract_moments(fo.evolve_rho(fo.vacuum_state(10), bath, 0.5, dt=2e-3))
         m20 = fo.extract_moments(fo.evolve_rho(fo.vacuum_state(20), bath, 0.5, dt=2e-3))
         assert np.abs(m10.alpha - m20.alpha).max() < 1e-6
         assert np.abs(m10.beta - m20.beta).max() < 1e-6
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("kind", ["random", "collective"])
+    def test_samples_equal_chained_evolve_rho(self, rng, kind):
+        bath = random_cp_bath(rng) if kind == "random" else collective_bath(1.0, 0.5, 0.1, 0.7)
+        rho0 = fo.pure_product_state(0.2, -0.1j, 6)
+        times = (0.0, 0.05, 0.12, 0.12, 0.25)
+        samples = list(fo.evolve_trajectory(rho0, bath, times, dt=5e-3))
+        assert len(samples) == len(times)
+        rho, t_prev = rho0, 0.0
+        for t, sample in zip(times, samples):
+            rho = fo.evolve_rho(rho, bath, t - t_prev, dt=5e-3)
+            t_prev = t
+            assert np.array_equal(sample.rho, rho.rho)
+
+    def test_builds_one_generator(self, monkeypatch):
+        built = []
+        build = fo.build_generator
+        monkeypatch.setattr(fo, "build_generator", lambda bath, cutoff: built.append(1) or build(bath, cutoff))
+        samples = list(fo.evolve_trajectory(fo.vacuum_state(6), vacuum_noise_bath(), (0.05, 0.1, 0.2), dt=1e-2))
+        assert len(samples) == 3
+        assert len(built) == 1
+
+    def test_leak_comes_after_the_earlier_samples(self):
+        # the pump keeps the top level of cutoff 3 below the bound up to
+        # t = 0.01 (1.5e-5) and is past it at t = 0.05 (1.7e-3)
+        trajectory = fo.evolve_trajectory(fo.vacuum_state(3), PUMP_BATH, (0.005, 0.01, 0.05, 0.1), dt=1e-3)
+        next(trajectory)
+        next(trajectory)
+        with pytest.raises(TruncationLeak):
+            next(trajectory)
+
+    @pytest.mark.parametrize("times", [(-0.1, 0.2), (0.3, 0.2), (0.1, 0.2, 0.15)])
+    def test_bad_times_are_refused_before_integrating(self, monkeypatch, times):
+        calls = []
+        monkeypatch.setattr(fo.LindbladGenerator, "apply", lambda gen, rho: calls.append(1))
+        with pytest.raises(ValueError, match="sample times"):
+            list(fo.evolve_trajectory(fo.vacuum_state(3), vacuum_noise_bath(), times))
+        assert calls == []
 
 
 class TestNegativity:
