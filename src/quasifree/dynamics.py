@@ -16,13 +16,14 @@ operator on the left of the state with the j-th on the right, so for a single
 nonzero entry the two-mode CP bound reads |lam_21|^2 <= eta_22 * sigma_11.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import matkit
 from .errors import DomainError, NonPhysicalInput, NotCP, Unstable
-from .gaussian_state import Covariance, _lock, is_physical
+from .gaussian_state import Covariance, _lock, _physical_spectra, is_physical
 
 # check_cp admits eigenvalues down to -CP_RTOL * ||C|| (spectral norm).
 CP_RTOL = 1e-12
@@ -30,6 +31,14 @@ CP_RTOL = 1e-12
 # steady_state demands Re(eig A) < -STABILITY_TOL strictly; a marginal mode
 # sitting at zero must be reported Unstable, not regularized away.
 STABILITY_TOL = 1e-12
+
+# propagate_steps refuses, before propagating, a grid of more samples than
+# this (t = 0 included): every sample is a validated Covariance, so a grid
+# costs time and memory in proportion to its length.
+MAX_SAMPLES = 100_000
+
+# Physicality cut for the samples of a CP trajectory.
+_SAMPLE_PHYSICALITY_TOL = 1e-8
 
 _ONES2 = np.ones((2, 2))
 
@@ -158,17 +167,24 @@ _MAX_CHUNK_NORM = 8.0
 
 
 def _propagator_pieces(gen: DriftDiffusion, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact propagator pair (e^{tA}, F(t)) for any t >= 0, composed from
-    bounded-norm chunks through the semigroup law."""
+    """Exact propagator pair (e^{tA}, F(t)) for any t >= 0.
+
+    Up to t||A|| = _MAX_CHUNK_NORM this is one augmented exponential.  Beyond
+    it, the pieces of the chunk s = t / 2^k, with k the least integer that
+    brings s||A|| within the bound, are doubled k times by the semigroup law
+
+        E(2s) = E(s)^2,    F(2s) = E(s)^dag F(s) E(s) + F(s),
+
+    so the cost grows as log t rather than t (Van Loan, IEEE TAC 23 (1978)
+    395), and fewer compositions also mean less accumulated roundoff."""
     scale = float(np.linalg.norm(gen.a, 2))
     if t * scale <= _MAX_CHUNK_NORM:
         return _propagator_pieces_single(gen, t)
-    n_chunks = int(np.ceil(t * scale / _MAX_CHUNK_NORM))
-    e_step, f_step = _propagator_pieces_single(gen, t / n_chunks)
-    e_ta, f = e_step, f_step
-    for _ in range(n_chunks - 1):
-        f = e_step.conj().T @ f @ e_step + f_step
-        e_ta = e_ta @ e_step
+    k = math.ceil(math.log2(t * scale / _MAX_CHUNK_NORM))
+    e_ta, f = _propagator_pieces_single(gen, math.ldexp(t, -k))
+    for _ in range(k):
+        f = e_ta.conj().T @ f @ e_ta + f
+        e_ta = e_ta @ e_ta
     return e_ta, 0.5 * (f + f.conj().T)
 
 
@@ -204,44 +220,65 @@ def propagate_exact(v0: Covariance, bath: BathSpec, t: float, *, allow_non_cp: b
     return Covariance(v, v0.n)
 
 
+def _grid_times(t_max: float, dt: float) -> np.ndarray:
+    """The sample times 0, dt, 2*dt, ..., t_max of propagate_steps: k*dt
+    while that stays short of t_max by more than 1e-12 * max(t_max, 1), then
+    t_max itself, so the last step is shorter when dt does not divide t_max.
+
+    Raises DomainError, without building the grid, when it would hold more
+    than MAX_SAMPLES samples."""
+    if not dt > 0:
+        raise ValueError("dt must be > 0")
+    if not t_max >= 0:
+        raise ValueError("t_max must be >= 0")
+    span = (t_max - 1e-12 * max(t_max, 1.0)) / dt
+    if span + 1 > MAX_SAMPLES:
+        raise DomainError(
+            f"t_max={t_max:g} with dt={dt:g} needs about {span + 1:.3g} samples; "
+            f"the limit is {MAX_SAMPLES}"
+        )
+    n_steps = max(math.ceil(span), 0)
+    if n_steps == 0:
+        return np.zeros(1)
+    return np.append(np.arange(n_steps) * dt, t_max)
+
+
 def propagate_steps(
     v0: Covariance, bath: BathSpec, t_max: float, dt: float, *, allow_non_cp: bool = False
 ) -> Trajectory:
-    """Sample the evolution on the grid 0, dt, 2*dt, ..., t_max.
+    """Sample the evolution on the grid 0, dt, 2*dt, ..., t_max of
+    _grid_times.
 
     Each sample is produced from the previous one with the exact single-step
     propagator, so stepping introduces no error beyond roundoff.  A shorter
-    final step is taken when dt does not divide t_max.
+    final step is taken when dt does not divide t_max.  A grid longer than
+    MAX_SAMPLES is refused with DomainError before any propagation.
+
+    For a CP bath every sample must be physical; the check runs once, as one
+    batched eigensolve over the stack of samples, and names the eigenvalue of
+    the first sample that fails.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
+    times = _grid_times(t_max, dt)
     _require_propagatable(v0, bath, allow_non_cp)
     certified = check_cp(bath)[0]
     gen = drift_diffusion(bath)
 
-    times = [0.0]
-    while times[-1] < t_max - 1e-12 * max(t_max, 1.0):
-        times.append(min(times[-1] + dt, t_max))
     states = [v0]
-    e_ta, f = _propagator_pieces(gen, dt)
+    e_step, f_step = _propagator_pieces(gen, dt)
     for k in range(1, len(times)):
-        step = times[k] - times[k - 1]
+        step = times[k] - times[k - 1] if k == len(times) - 1 else dt
         if abs(step - dt) > 1e-12 * max(dt, 1.0):
             e_step, f_step = _propagator_pieces(gen, step)
-        else:
-            e_step, f_step = e_ta, f
         v = e_step.conj().T @ states[-1].v @ e_step + f_step
         states.append(Covariance(v, v0.n))
     if certified:
-        for state in states:
-            ok, min_eig = is_physical(state, tol=1e-8)
-            if not ok:
-                raise NonPhysicalInput(
-                    f"CP evolution produced a non-physical sample (min eigenvalue {min_eig:.3e})"
-                )
-    return Trajectory(times=np.asarray(times), states=states, cp_certified=certified)
+        ok, min_eigs = _physical_spectra(np.stack([s.v for s in states]), v0.n, _SAMPLE_PHYSICALITY_TOL)
+        if not ok.all():
+            first = int(np.argmin(ok))
+            raise NonPhysicalInput(
+                f"CP evolution produced a non-physical sample (min eigenvalue {min_eigs[first]:.3e})"
+            )
+    return Trajectory(times=times, states=states, cp_certified=certified)
 
 
 def steady_state(bath: BathSpec) -> Covariance:

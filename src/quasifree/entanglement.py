@@ -29,33 +29,44 @@ from .errors import (
     NonPhysicalInput,
     WrongModeCount,
 )
-from .gaussian_state import Covariance, collective_covariance, is_physical, sigma_matrix
+from .gaussian_state import (
+    Covariance,
+    _boundary_cut,
+    _half_sigma,
+    _lock,
+    collective_covariance,
+    is_physical,
+    sigma_matrix,
+)
 
-# Verdict tolerance: PT eigenvalues above -ENT_TOL are treated as compatible
-# with separability so that boundary states are not misreported as entangled.
+# Verdict tolerance: PT eigenvalues above -ENT_TOL (or the scale-relative
+# roundoff cut, when larger) are treated as compatible with separability so
+# that boundary states are not misreported as entangled.
 ENT_TOL = 1e-10
 
 # The permutation T exchanging entries 0 and 2 of the mode ordering
 # (a1, a2, a1+, a2+), the covariance-level action of transposing the first
-# mode, kept as an index: T x is x[_T] and T M T is M[np.ix_(_T, _T)].
+# mode, kept as an index: T x is x[_T] and T M T is M[_TT].
 _T = np.array([2, 1, 0, 3])
+_TT = np.ix_(_T, _T)
 
-_HALF_SIGMA = 0.5 * sigma_matrix(2)
-_HALF_SIGMA.setflags(write=False)
+_HALF_SIGMA = _half_sigma(2)
+_SIGMA_T = _lock(sigma_matrix(2)[_TT])  # T Sigma T
 
 
 def _pt_matrix(cov: Covariance) -> np.ndarray:
     """V~ + Sigma/2 = T V T + Sigma/2, the matrix whose spectrum decides the
-    PPT test and whose null space carries the witness."""
+    PPT test and whose null space carries the witness.  A symmetric
+    permutation of the exactly Hermitian cov.v plus a real diagonal, so the
+    result is exactly Hermitian too and its spectrum needs no re-validation."""
     if cov.n != 2:
         raise WrongModeCount(f"partial transposition is defined here for 2 modes, got {cov.n}")
-    return cov.v[np.ix_(_T, _T)] + _HALF_SIGMA
+    return cov.v[_TT] + _HALF_SIGMA
 
 
 def pt_min_eigenvalue(cov: Covariance) -> float:
     """Minimum eigenvalue of V~ + Sigma/2 (negative certifies entanglement)."""
-    w, _ = matkit.hermitian_eigensystem(_pt_matrix(cov))
-    return float(w[0])
+    return float(matkit.hermitian_spectrum(_pt_matrix(cov))[0])
 
 
 def ppt_test(cov: Covariance, tol: float = ENT_TOL) -> tuple[bool, float]:
@@ -63,13 +74,17 @@ def ppt_test(cov: Covariance, tol: float = ENT_TOL) -> tuple[bool, float]:
 
     Returns (entangled, min PT eigenvalue).  The input must be a physical
     covariance; for two-mode Gaussian states a negative PT eigenvalue is
-    both necessary and sufficient for entanglement.
+    both necessary and sufficient for entanglement.  The cut is the
+    scale-relative max(tol, c eps max|w|) of the physicality test, so the
+    roundoff of a strongly squeezed product state does not read as
+    entanglement.
     """
     physical, min_eig = is_physical(cov)
     if not physical:
         raise NonPhysicalInput(f"covariance is not physical (min eigenvalue {min_eig:.3e})")
-    min_pt = pt_min_eigenvalue(cov)
-    return min_pt < -tol, min_pt
+    w = matkit.hermitian_spectrum(_pt_matrix(cov))
+    min_pt = float(w[0])
+    return min_pt < float(_boundary_cut(w, tol)), min_pt
 
 
 def initial_null_basis(cov: Covariance, tol: float = matkit.NULL_SPACE_RTOL) -> np.ndarray:
@@ -153,9 +168,8 @@ def generation_witness(
 
     gen = drift_diffusion(bath)
     psi_t = psi[_T]
-    sigma_t = sigma_matrix(2)[np.ix_(_T, _T)]
     lhs = float(np.real(psi_t.conj() @ (2.0 * gen.b) @ psi_t))
-    rhs = float(np.real(psi_t.conj() @ (gen.a.conj().T @ sigma_t + sigma_t @ gen.a) @ psi_t))
+    rhs = float(np.real(psi_t.conj() @ (gen.a.conj().T @ _SIGMA_T + _SIGMA_T @ gen.a) @ psi_t))
     flow = gen.a.conj().T @ v0.v + v0.v @ gen.a + gen.b
     q_derivative = float(np.real(psi_t.conj() @ flow @ psi_t))
     return WitnessReport(
@@ -220,8 +234,7 @@ def asymptotic_pt_eigenvalues(alpha_inf: complex, beta_inf: float) -> np.ndarray
     values are beta_inf - 1/2 + (s1 |alpha_inf| + s2 sqrt(1 + |alpha_inf|^2))/2
     over the sign choices s1, s2 = +-1, which the tests cross-check.
     """
-    w, _ = matkit.hermitian_eigensystem(_pt_matrix(asymptotic_covariance(alpha_inf, beta_inf)))
-    return w
+    return matkit.hermitian_spectrum(_pt_matrix(asymptotic_covariance(alpha_inf, beta_inf)))
 
 
 def asymptotic_threshold(eta: float, sigma: float, omega: float) -> tuple[float, float, bool]:

@@ -12,6 +12,7 @@ canonical commutators.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +24,14 @@ from .errors import NegativeOccupation, NotNormalizable
 # roundoff rather than demand strict positivity.
 PHYSICALITY_TOL = 1e-10
 
+# Boundary cuts scale with the spectrum: an eigenvalue w counts as zero when
+# w >= -max(tol, ROUNDOFF_FACTOR * eps * max|w|), the backward-error size of
+# a Hermitian eigensolve.  Below max|w| ~ 2.8e4 the absolute tol decides, so
+# the cut only moves for strongly squeezed states, whose boundary eigenvalue
+# carries roundoff of order eps * ||V||.
+ROUNDOFF_FACTOR = 16.0
+_ROUNDOFF = ROUNDOFF_FACTOR * np.finfo(float).eps
+
 
 def sigma_matrix(n: int) -> np.ndarray:
     """Commutator matrix diag(+1, ..., +1, -1, ..., -1) for n modes."""
@@ -33,6 +42,30 @@ def _lock(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex, copy=True)
     out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=8)
+def _half_sigma(n: int) -> np.ndarray:
+    """Read-only Sigma/2 for n modes, built once per n."""
+    return _lock(0.5 * sigma_matrix(n))
+
+
+def _boundary_cut(w: np.ndarray, tol: float) -> np.ndarray:
+    """The cut -max(tol, ROUNDOFF_FACTOR * eps * max|w|) for the ascending
+    spectrum w, or for each row of a stack of spectra."""
+    return -np.maximum(tol, _ROUNDOFF * np.abs(w).max(axis=-1))
+
+
+def _physical_spectra(vs: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Physicality of one covariance matrix or an (N, 2n, 2n) stack of them:
+    the verdicts w_min >= _boundary_cut(w, tol) and the minimum eigenvalues
+    w_min of V + Sigma/2.
+
+    The matrices must be Covariance.v arrays: finite and exactly Hermitian,
+    so adding the real diagonal Sigma/2 keeps V + Sigma/2 exactly Hermitian
+    and the spectrum needs no re-validation."""
+    w = matkit.hermitian_spectrum(vs + _half_sigma(n))
+    return w[..., 0] >= _boundary_cut(w, tol), w[..., 0]
 
 
 @dataclass(frozen=True)
@@ -154,8 +187,11 @@ def collective_covariance(alpha_sym: complex, beta_sym: float, beta_anti: float)
 
 
 def is_physical(cov: Covariance, tol: float = PHYSICALITY_TOL) -> tuple[bool, float]:
-    """Test V + Sigma/2 >= 0; returns the verdict and the minimum eigenvalue."""
-    w, _ = matkit.hermitian_eigensystem(cov.v + 0.5 * sigma_matrix(cov.n))
-    min_eig = float(w[0])
-    return min_eig >= -tol, min_eig
+    """Test V + Sigma/2 >= 0 up to the scale-relative _boundary_cut; returns
+    the verdict and the minimum eigenvalue.
+
+    Covariance.__post_init__ has already made v finite, read-only and exactly
+    Hermitian, so the spectrum is taken without re-validating it."""
+    ok, min_eig = _physical_spectra(cov.v, cov.n, tol)
+    return bool(ok), float(min_eig)
 

@@ -4,7 +4,8 @@ Every routine here is a pure function over immutable inputs: no caching, no
 global state, deterministic output for identical input bits.  All other
 modules funnel their linear algebra through these entry points so that the
 validation rules (finiteness, squareness, Hermiticity tolerances) are applied
-uniformly.
+uniformly.  The one unvalidated entry point, hermitian_spectrum, is for hot
+paths whose input is Hermitian by construction.
 """
 
 import numpy as np
@@ -40,32 +41,54 @@ def require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
+def _hermiticity_defect(a: np.ndarray) -> float:
     """Largest entrywise deviation between a and its conjugate transpose."""
     return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
 
 
 def require_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Return the Hermitian part of a, or raise if the defect is too large."""
+    """Return the Hermitian part of a, or raise if the defect is too large.
+
+    The result 0.5 * (a + a^dag) is exactly Hermitian in floating point:
+    entry (j, i) is computed from the same two numbers as entry (i, j)."""
     scale = float(np.abs(a).max()) if a.size else 0.0
-    if hermiticity_defect(a) > rtol * max(scale, 1e-300):
+    defect = _hermiticity_defect(a)
+    if defect > rtol * max(scale, 1e-300):
         raise NotHermitian(
-            f"symmetrization residual {hermiticity_defect(a):.3e} exceeds "
+            f"symmetrization residual {defect:.3e} exceeds "
             f"{rtol:.1e} * max|entry| = {rtol * scale:.3e}"
         )
     return 0.5 * (a + a.conj().T)
 
 
-def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending, real) and orthonormal eigenvectors of a
-    Hermitian matrix.  Eigenvector k is the k-th column of the second result."""
-    a = require_square(as_matrix(m))
-    h = require_hermitian(a)
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
     return w, v
+
+
+def hermitian_spectrum(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a matrix already known to be finite and
+    exactly Hermitian, or of each matrix in an (N, m, m) stack of them.
+
+    No validation: callers pass matrices whose invariants are already
+    established, such as a Covariance's v (finite and exactly Hermitian by
+    construction) plus a real diagonal.  The values come from the same
+    np.linalg.eigh call as hermitian_eigensystem, bit for bit, and a stack
+    gives the same bits as its matrices one at a time.  (eigvalsh would
+    differ in the last bits.)"""
+    return _eigh(h)[0]
+
+
+def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending, real) and orthonormal eigenvectors of a
+    Hermitian matrix.  Eigenvector k is the k-th column of the second result.
+
+    Validates m (finite, square, Hermitian to HERMITICITY_RTOL), then runs
+    the same eigh as hermitian_spectrum on its Hermitian part."""
+    return _eigh(require_hermitian(require_square(as_matrix(m))))
 
 
 def expm(m) -> np.ndarray:

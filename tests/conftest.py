@@ -2,8 +2,19 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from quasifree import BathSpec, Covariance, from_blocks, kossakowski, propagate_exact, vacuum
+from quasifree import (
+    BathSpec,
+    Covariance,
+    drift_diffusion,
+    from_blocks,
+    kossakowski,
+    matkit,
+    propagate_exact,
+    sigma_matrix,
+    vacuum,
+)
 
 # The permutation matrix exchanging a_1 and a_1^dag in the ordering
 # (a1, a2, a1+, a2+): transposition of the first mode at the covariance level.
@@ -66,6 +77,38 @@ def random_physical_covariance(rng, t=0.7):
 def partial_transpose(cov):
     """Reference partial transpose: the covariance T V T."""
     return Covariance(T_MATRIX @ cov.v @ T_MATRIX, 2)
+
+
+def eigensystem_min_physical(cov):
+    """Reference minimum eigenvalue of V + Sigma/2 through the validating
+    hermitian_eigensystem route."""
+    return matkit.hermitian_eigensystem(cov.v + 0.5 * sigma_matrix(cov.n))[0][0]
+
+
+def eigensystem_min_pt(cov):
+    """Reference minimum eigenvalue of T V T + Sigma/2 through the validating
+    hermitian_eigensystem route, with T applied as the index [2, 1, 0, 3]."""
+    t = np.array([2, 1, 0, 3])
+    return matkit.hermitian_eigensystem(cov.v[np.ix_(t, t)] + 0.5 * sigma_matrix(2))[0][0]
+
+
+def linear_chunk_propagate(v0, bath, t, max_chunk_norm=8.0):
+    """Reference V(t): one augmented exponential for a chunk of norm
+    <= max_chunk_norm, applied chunk after chunk (cost linear in t)."""
+    gen = drift_diffusion(bath)
+    m = gen.a.shape[0]
+    n_chunks = max(1, int(np.ceil(t * np.linalg.norm(gen.a, 2) / max_chunk_norm)))
+    aug = np.zeros((2 * m, 2 * m), dtype=complex)
+    aug[:m, :m] = -gen.a.conj().T
+    aug[:m, m:] = gen.b
+    aug[m:, m:] = gen.a
+    big = scipy.linalg.expm((t / n_chunks) * aug)
+    e = big[m:, m:]
+    f = e.conj().T @ big[:m, m:]
+    v = v0.v
+    for _ in range(n_chunks):
+        v = e.conj().T @ v @ e + f
+    return 0.5 * (v + v.conj().T)
 
 
 def full_transpose(cov):

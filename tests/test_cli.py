@@ -69,6 +69,13 @@ class TestEvolve:
             if key != "t":
                 assert len({row[key] for row in rows}) == 1
 
+    def test_oversized_grid_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, collective_config(t_max=1.0, dt=1e-7))
+        out = tmp_path / "traj.csv"
+        assert main(["evolve", "--config", cfg, "--output", str(out)]) == 1
+        assert "limit is" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_vacuum_noise_scenario_entangles(self, tmp_path):
         out = tmp_path / "traj.csv"
         code = main(

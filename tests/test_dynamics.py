@@ -18,7 +18,7 @@ from quasifree import (
 )
 from quasifree.errors import DomainError, NonPhysicalInput, NotCP, NotHermitian, Unstable
 
-from conftest import lowering_operators, random_cp_bath
+from conftest import linear_chunk_propagate, lowering_operators, random_cp_bath
 
 
 def vacuum_noise_bath():
@@ -185,6 +185,85 @@ class TestPropagation:
         traj = propagate_steps(vacuum(2), vacuum_noise_bath(), 0.4, 0.4)
         assert list(traj.times) == [0.0, 0.4]
 
+    def test_grid_times_are_multiples_of_dt(self):
+        traj = propagate_steps(vacuum(2), vacuum_noise_bath(), 1.0, 0.1)
+        assert len(traj.times) == 11
+        np.testing.assert_array_equal(traj.times[:-1], np.arange(10) * 0.1)
+        assert traj.times[-1] == 1.0
+
+    def test_sample_counts(self, rng):
+        from quasifree.dynamics import _grid_times
+
+        # the shipped configs, and the span / 100 grids of the benchmark
+        assert len(_grid_times(0.5, 0.02)) == 26
+        assert len(_grid_times(20.0, 0.5)) == 41
+        for span in rng.uniform(0.5, 10.0, size=200):
+            times = _grid_times(span, span / 100)
+            assert len(times) == 101 and times[-1] == span
+        assert len(_grid_times(1.1, 0.13)) == 10
+        assert list(_grid_times(0.0, 0.1)) == [0.0]
+
+    def test_oversized_grid_is_refused_before_propagating(self, monkeypatch):
+        from quasifree import dynamics
+
+        def no_propagation(*args):
+            raise AssertionError("propagated before refusing the grid")
+
+        monkeypatch.setattr(dynamics, "_propagator_pieces", no_propagation)
+        with pytest.raises(DomainError, match="limit is"):
+            propagate_steps(vacuum(2), vacuum_noise_bath(), 1.0, 1e-7)
+        assert len(dynamics._grid_times(dynamics.MAX_SAMPLES - 1.0, 1.0)) == dynamics.MAX_SAMPLES
+        with pytest.raises(DomainError):
+            dynamics._grid_times(float(dynamics.MAX_SAMPLES), 1.0)
+
+    def test_non_physical_sample_names_the_first_failure(self, monkeypatch):
+        from quasifree import dynamics
+
+        honest = dynamics.drift_diffusion
+
+        def flipped_diffusion(bath):
+            gen = honest(bath)
+            return dynamics.DriftDiffusion(a=gen.a, b=-gen.b)
+
+        # a CP bath whose diffusion has the wrong sign drains the noise of a
+        # thermal start until it is no longer physical
+        monkeypatch.setattr(dynamics, "drift_diffusion", flipped_diffusion)
+        v0, bath = thermal(2, [1.0, 1.0]), vacuum_noise_bath()
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "check_cp", lambda b: (False, -1.0))
+            samples = propagate_steps(v0, bath, 2.0, 0.1, allow_non_cp=True).states
+        mins = [np.linalg.eigh(s.v + 0.5 * np.diag([1, 1, -1, -1]))[0][0] for s in samples]
+        first = next(k for k, w in enumerate(mins) if w < -1e-8)
+        assert 1 < first < len(mins) - 1 and f"{mins[first]:.3e}" != f"{min(mins):.3e}"
+        with pytest.raises(NonPhysicalInput, match=f"min eigenvalue {mins[first]:.3e}"):
+            propagate_steps(v0, bath, 2.0, 0.1)
+
+    def test_long_horizon_matches_linear_chunks(self, rng):
+        for _ in range(5):
+            bath = random_cp_bath(rng, strength=rng.uniform(0.4, 1.5))
+            v0 = thermal(2, [0.4, 0.1])
+            for t in (20.0, 300.0, 3000.0):
+                reference = linear_chunk_propagate(v0, bath, t)
+                dev = np.abs(propagate_exact(v0, bath, t).v - reference).max()
+                assert dev <= 1e-9 * np.abs(reference).max()
+
+    def test_very_long_horizon_reaches_steady_state_fast(self, rng):
+        import time
+
+        for _ in range(5):
+            bath = random_cp_bath(rng, strength=rng.uniform(0.4, 1.5))
+            v_inf = steady_state(bath).v
+            for t in (1e5, 1e6):
+                elapsed = []
+                for _ in range(3):
+                    start = time.perf_counter()
+                    v = propagate_exact(thermal(2, [0.4, 0.1]), bath, t).v
+                    elapsed.append(time.perf_counter() - start)
+                assert np.abs(v - v_inf).max() <= 1e-9 * np.abs(v_inf).max()
+                # ~1 ms by log t doublings; composing chunk after chunk took
+                # 50-150 ms at t = 1e5 and ten times that at 1e6
+                assert min(elapsed) < 0.03
+
     def test_semigroup_law(self, rng):
         for _ in range(5):
             bath = random_cp_bath(rng)
@@ -219,14 +298,13 @@ class TestPropagation:
         assert np.abs(fd - flow).max() < 1e-4 * max(np.abs(flow).max(), 1.0)
 
     def test_hermiticity_preserved(self, rng):
-        from quasifree import matkit
         from quasifree.dynamics import _propagator_pieces
 
         bath = random_cp_bath(rng)
         gen = drift_diffusion(bath)
         e_ta, f = _propagator_pieces(gen, 1.7)
         raw = e_ta.conj().T @ vacuum(2).v @ e_ta + f
-        assert matkit.hermiticity_defect(raw) < 1e-12
+        assert np.abs(raw - raw.conj().T).max() < 1e-12
 
     def test_refuses_non_cp_without_override(self):
         bath = collective_bath(1.0, 0.5, 0.0, 0.8)

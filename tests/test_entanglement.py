@@ -33,6 +33,7 @@ from quasifree.errors import (
 
 from conftest import (
     T_MATRIX,
+    eigensystem_min_pt,
     partial_transpose,
     random_cp_bath,
     random_physical_covariance,
@@ -56,6 +57,16 @@ class TestPartialTranspose:
             cov = random_physical_covariance(rng)
             reference = np.linalg.eigvalsh(partial_transpose(cov).v + 0.5 * sigma_matrix(2))
             assert abs(pt_min_eigenvalue(cov) - reference[0]) < 1e-13
+
+    def test_bit_equal_to_validating_route(self, rng):
+        from quasifree.gaussian_state import Covariance
+
+        covs = [random_physical_covariance(rng) for _ in range(100)]
+        for _ in range(100):
+            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            covs.append(Covariance(a + a.conj().T, 2))
+        for cov in covs:
+            assert pt_min_eigenvalue(cov) == eigensystem_min_pt(cov)
 
     def test_mode_count_guard(self):
         with pytest.raises(WrongModeCount):
@@ -81,6 +92,21 @@ class TestPptTest:
             o2 = rng.uniform(0, 0.9) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             entangled, _ = ppt_test(pure_product(o1, o2))
             assert not entangled
+
+    @pytest.mark.parametrize("omega", [0.9999, 0.999999, 0.99999999])
+    def test_strongly_squeezed_pure_products_are_separable(self, omega):
+        # both spectra of pure_product(0.999999, 0.999999) dip to -1.18e-10,
+        # roundoff of eigenvalues reaching 1e6: neither non-physical nor
+        # entangled
+        entangled, _ = ppt_test(pure_product(omega, omega))
+        assert not entangled
+
+    def test_strongly_squeezed_non_physical_state_is_refused(self):
+        from quasifree.gaussian_state import Covariance
+
+        v = pure_product(0.999999, 0.999999).v
+        with pytest.raises(NonPhysicalInput):
+            ppt_test(Covariance(v - 1e-6 * np.eye(4), 2))
 
     def test_asymptotic_collective_state_entangled(self):
         a_inf, b_inf = collective_steady_moments(1.0, 0.5, 0.1, 0.7)

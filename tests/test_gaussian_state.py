@@ -14,8 +14,9 @@ from quasifree import (
 )
 from quasifree import fock_oracle
 from quasifree.errors import NegativeOccupation, NotHermitian, NotNormalizable
+from quasifree.gaussian_state import Covariance
 
-from conftest import full_transpose, random_physical_covariance
+from conftest import eigensystem_min_physical, full_transpose, random_physical_covariance
 
 
 class TestConstructors:
@@ -104,6 +105,30 @@ class TestPhysicality:
             cov = random_physical_covariance(rng)
             ok, _ = is_physical(full_transpose(cov))
             assert ok
+
+    def test_bit_equal_to_validating_route(self, rng):
+        # 100 evolved states and 100 arbitrary Hermitian matrices, physical
+        # or not: skipping re-validation must not move a single bit
+        covs = [random_physical_covariance(rng) for _ in range(100)]
+        for _ in range(100):
+            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            covs.append(Covariance(a + a.conj().T, 2))
+        for cov in covs:
+            assert is_physical(cov)[1] == eigensystem_min_physical(cov)
+
+    @pytest.mark.parametrize("omega", [0.9999, 0.999999, 0.99999999])
+    def test_strongly_squeezed_pure_product_is_physical(self, omega):
+        # at |Omega| = 0.999999 the boundary eigenvalue is -1.18e-10, roundoff
+        # of a spectrum reaching 1e6, just past the absolute cut of 1e-10
+        assert is_physical(pure_product(omega, omega))[0]
+
+    def test_scale_relative_cut_still_refuses_non_physical(self):
+        v = pure_product(0.999999, 0.999999).v
+        ok, min_eig = is_physical(Covariance(v - 1e-6 * np.eye(4), 2))
+        assert not ok and min_eig < -9e-7
+        # at moderate scale the cut is the absolute tolerance, as before
+        ok, min_eig = is_physical(Covariance(vacuum(2).v - 2e-10 * np.eye(4), 2))
+        assert not ok and min_eig == pytest.approx(-2e-10, rel=1e-6)
 
 
 class TestBlocks:

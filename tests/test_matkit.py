@@ -57,6 +57,23 @@ class TestHermitianEigensystem:
                 assert residual <= 1e-10 * scale * n
 
 
+class TestHermitianSpectrum:
+    def test_bit_equal_to_eigensystem(self, rng):
+        for n in (1, 2, 4, 7):
+            for _ in range(20):
+                m = random_hermitian(rng, n)
+                np.testing.assert_array_equal(
+                    matkit.hermitian_spectrum(m), matkit.hermitian_eigensystem(m)[0]
+                )
+
+    def test_stack_bit_equal_to_single_matrices(self, rng):
+        stack = np.stack([random_hermitian(rng, 4) for _ in range(200)])
+        batched = matkit.hermitian_spectrum(stack)
+        assert batched.shape == (200, 4)
+        for m, w in zip(stack, batched):
+            np.testing.assert_array_equal(w, matkit.hermitian_spectrum(m))
+
+
 class TestExpm:
     def test_zero_matrix(self):
         np.testing.assert_array_equal(matkit.expm(np.zeros((3, 3))), np.eye(3))
