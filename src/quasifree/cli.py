@@ -38,7 +38,9 @@ from .entanglement import (
     asymptotic_threshold,
     generation_witness,
     initial_null_basis,
-    pt_min_eigenvalue,
+    pt_entangled,
+    pt_margin,
+    pt_spectrum,
     scan_generation_witness,
     symmetric_null_vector,
 )
@@ -128,11 +130,11 @@ def cmd_evolve(args) -> int:
     )
     lines = [",".join(header)]
     for t, state in zip(trajectory.times, trajectory.states):
-        min_pt = pt_min_eigenvalue(state)
+        w = pt_spectrum(state)
         row = [_fmt(t)]
         row += [_fmt(x) for x in state.v.real.reshape(-1)]
         row += [_fmt(x) for x in state.v.imag.reshape(-1)]
-        row += [_fmt(min_pt), "true" if min_pt < -tol else "false"]
+        row += [_fmt(w[0]), "true" if pt_entangled(w, tol) else "false"]
         lines.append(",".join(row))
     _write_atomic(args.output, "\n".join(lines) + "\n")
     print(f"wrote {len(trajectory.times)} samples to {args.output}")
@@ -197,8 +199,8 @@ def cmd_steady(args) -> int:
     print("asymptotic PT spectrum: " + "  ".join(_fmt(x) for x in spectrum))
     print(f"threshold |lambda|^2 > {_fmt(lam_sq_min)} (CP bound {_fmt(cp_max)}, window {'open' if feasible else 'empty'})")
     print(f"|lambda|^2 = {_fmt(abs(p.lam) ** 2)}")
-    entangled = spectrum[0] < -tol
-    if abs(spectrum[0]) <= tol:
+    entangled = pt_entangled(spectrum, tol)
+    if abs(spectrum[0]) <= pt_margin(spectrum, tol):
         # too close to the separability boundary for a firm claim
         print("asymptotically entangled: boundary/indeterminate")
     else:
@@ -254,8 +256,8 @@ def cmd_sweep(args) -> int:
 
         if eta > sigma:
             alpha_inf, beta_inf = collective_steady_moments(eta, sigma, omega, lam)
-            min_pt = float(asymptotic_pt_eigenvalues(alpha_inf, beta_inf)[0])
-            entangled = min_pt < -tol
+            spectrum = asymptotic_pt_eigenvalues(alpha_inf, beta_inf)
+            min_pt, entangled = float(spectrum[0]), pt_entangled(spectrum, tol)
         else:
             min_pt, entangled = float("nan"), False
         lines.append(
@@ -315,7 +317,7 @@ def cmd_oracle_compare(args) -> int:
             )
             max_dev = max(max_dev, dev)
             neg = fock_oracle.negativity(rho)
-            gauss_entangled = pt_min_eigenvalue(state) < -ENT_TOL
+            gauss_entangled = pt_entangled(pt_spectrum(state))
             if gauss_entangled != (neg > 1e-6):
                 disagreements += 1
     except TruncationLeak as exc:

@@ -40,8 +40,8 @@ from .gaussian_state import (
 )
 
 # Verdict tolerance: PT eigenvalues above -ENT_TOL (or the scale-relative
-# roundoff cut, when larger) are treated as compatible with separability so
-# that boundary states are not misreported as entangled.
+# roundoff cut, when larger: see pt_margin) are treated as compatible with
+# separability so that boundary states are not misreported as entangled.
 ENT_TOL = 1e-10
 
 # The permutation T exchanging entries 0 and 2 of the mode ordering
@@ -64,9 +64,28 @@ def _pt_matrix(cov: Covariance) -> np.ndarray:
     return cov.v[_TT] + _HALF_SIGMA
 
 
+def pt_spectrum(cov: Covariance) -> np.ndarray:
+    """Ascending spectrum of V~ + Sigma/2, the input of every PT verdict."""
+    return matkit.hermitian_spectrum(_pt_matrix(cov))
+
+
+def pt_margin(w: np.ndarray, tol: float = ENT_TOL) -> float:
+    """Half-width of the separability boundary for the ascending PT spectrum
+    w: the scale-relative max(tol, c eps max|w|) of the physicality test, so
+    the roundoff of a strongly squeezed product state does not read as
+    entanglement.  A minimum eigenvalue within +-margin is on the boundary."""
+    return -float(_boundary_cut(w, tol))
+
+
+def pt_entangled(w: np.ndarray, tol: float = ENT_TOL) -> bool:
+    """The entanglement verdict for the ascending PT spectrum w: its minimum
+    lies below -pt_margin(w, tol).  The one rule every verdict uses."""
+    return bool(w[0] < -pt_margin(w, tol))
+
+
 def pt_min_eigenvalue(cov: Covariance) -> float:
     """Minimum eigenvalue of V~ + Sigma/2 (negative certifies entanglement)."""
-    return float(matkit.hermitian_spectrum(_pt_matrix(cov))[0])
+    return float(pt_spectrum(cov)[0])
 
 
 def ppt_test(cov: Covariance, tol: float = ENT_TOL) -> tuple[bool, float]:
@@ -74,17 +93,13 @@ def ppt_test(cov: Covariance, tol: float = ENT_TOL) -> tuple[bool, float]:
 
     Returns (entangled, min PT eigenvalue).  The input must be a physical
     covariance; for two-mode Gaussian states a negative PT eigenvalue is
-    both necessary and sufficient for entanglement.  The cut is the
-    scale-relative max(tol, c eps max|w|) of the physicality test, so the
-    roundoff of a strongly squeezed product state does not read as
-    entanglement.
+    both necessary and sufficient for entanglement, decided by pt_entangled.
     """
     physical, min_eig = is_physical(cov)
     if not physical:
         raise NonPhysicalInput(f"covariance is not physical (min eigenvalue {min_eig:.3e})")
-    w = matkit.hermitian_spectrum(_pt_matrix(cov))
-    min_pt = float(w[0])
-    return min_pt < float(_boundary_cut(w, tol)), min_pt
+    w = pt_spectrum(cov)
+    return pt_entangled(w, tol), float(w[0])
 
 
 def initial_null_basis(cov: Covariance, tol: float = matkit.NULL_SPACE_RTOL) -> np.ndarray:
@@ -234,7 +249,7 @@ def asymptotic_pt_eigenvalues(alpha_inf: complex, beta_inf: float) -> np.ndarray
     values are beta_inf - 1/2 + (s1 |alpha_inf| + s2 sqrt(1 + |alpha_inf|^2))/2
     over the sign choices s1, s2 = +-1, which the tests cross-check.
     """
-    return matkit.hermitian_spectrum(_pt_matrix(asymptotic_covariance(alpha_inf, beta_inf)))
+    return pt_spectrum(asymptotic_covariance(alpha_inf, beta_inf))
 
 
 def asymptotic_threshold(eta: float, sigma: float, omega: float) -> tuple[float, float, bool]:

@@ -76,6 +76,19 @@ class TestEvolve:
         assert "limit is" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_strongly_squeezed_product_start_reads_separable(self, tmp_path):
+        # the t = 0 row is a product state whose PT eigenvalue is roundoff,
+        # -1.18e-10 at |Omega| = 0.999999: the CSV verdict is ppt_test's
+        doc = json.loads((CONFIG_DIR / "pure_pair_generation.json").read_text())
+        doc["initial_state"] = {"kind": "pure", "omega1": 0.999999, "omega2": 0.999999}
+        doc["time"] = {"t_max": 0.02, "dt": 0.02}
+        out = tmp_path / "traj.csv"
+        assert main(["evolve", "--config", write_config(tmp_path, doc), "--output", str(out)]) == 0
+        first = read_csv(out)[0]
+        assert float(first["t"]) == 0.0
+        assert -1e-9 < float(first["min_pt_eig"]) < -1e-10
+        assert first["entangled"] == "false"
+
     def test_vacuum_noise_scenario_entangles(self, tmp_path):
         out = tmp_path / "traj.csv"
         code = main(

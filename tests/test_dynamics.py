@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -247,22 +249,32 @@ class TestPropagation:
                 dev = np.abs(propagate_exact(v0, bath, t).v - reference).max()
                 assert dev <= 1e-9 * np.abs(reference).max()
 
-    def test_very_long_horizon_reaches_steady_state_fast(self, rng):
-        import time
+    def test_very_long_horizon_reaches_steady_state_by_doubling(self, rng, monkeypatch):
+        from quasifree import dynamics
 
+        single = dynamics._propagator_pieces_single
+        chunks = []
+
+        def recording_single(gen, t):
+            chunks.append(t)
+            return single(gen, t)
+
+        monkeypatch.setattr(dynamics, "_propagator_pieces_single", recording_single)
         for _ in range(5):
             bath = random_cp_bath(rng, strength=rng.uniform(0.4, 1.5))
             v_inf = steady_state(bath).v
+            scale = float(np.linalg.norm(drift_diffusion(bath).a, 2))
             for t in (1e5, 1e6):
-                elapsed = []
-                for _ in range(3):
-                    start = time.perf_counter()
-                    v = propagate_exact(thermal(2, [0.4, 0.1]), bath, t).v
-                    elapsed.append(time.perf_counter() - start)
+                chunks.clear()
+                v = propagate_exact(thermal(2, [0.4, 0.1]), bath, t).v
                 assert np.abs(v - v_inf).max() <= 1e-9 * np.abs(v_inf).max()
-                # ~1 ms by log t doublings; composing chunk after chunk took
-                # 50-150 ms at t = 1e5 and ten times that at 1e6
-                assert min(elapsed) < 0.03
+                # one exponential of the chunk t / 2^k, with k the least
+                # integer bringing its norm within the bound, then k squarings
+                # (about 14-19 here), not t||A|| / 8 compositions
+                (s,) = chunks
+                k = round(math.log2(t / s))
+                assert t == math.ldexp(s, k)
+                assert dynamics._MAX_CHUNK_NORM / 2 < s * scale <= dynamics._MAX_CHUNK_NORM
 
     def test_semigroup_law(self, rng):
         for _ in range(5):

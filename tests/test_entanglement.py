@@ -101,6 +101,16 @@ class TestPptTest:
         entangled, _ = ppt_test(pure_product(omega, omega))
         assert not entangled
 
+    def test_verdict_cut_is_absolute_at_unit_scale_and_relative_beyond(self):
+        from quasifree.entanglement import ENT_TOL, pt_entangled, pt_margin, pt_spectrum
+
+        assert pt_margin(pt_spectrum(vacuum(2))) == ENT_TOL
+        squeezed = pt_spectrum(pure_product(0.999999, 0.999999))
+        assert ENT_TOL < pt_margin(squeezed) < 1e-8
+        assert not pt_entangled(squeezed)
+        # a dip below -ENT_TOL at unit scale is still entanglement
+        assert pt_entangled(np.array([-2e-10, 0.0, 1.0, 1.0]))
+
     def test_strongly_squeezed_non_physical_state_is_refused(self):
         from quasifree.gaussian_state import Covariance
 
