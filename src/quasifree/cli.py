@@ -301,6 +301,7 @@ def cmd_oracle_compare(args) -> int:
     else:
         raise ConfigError(f"oracle comparison supports vacuum/pure/thermal initial states, not {cfg.initial_kind!r}")
 
+    tol = args.tol if args.tol is not None else ENT_TOL
     trajectory = propagate_steps(v0, cfg.bath, cfg.t_max, cfg.dt, allow_non_cp=cfg.allow_non_cp)
 
     max_dev = 0.0
@@ -317,7 +318,7 @@ def cmd_oracle_compare(args) -> int:
             )
             max_dev = max(max_dev, dev)
             neg = fock_oracle.negativity(rho)
-            gauss_entangled = pt_entangled(pt_spectrum(state))
+            gauss_entangled = pt_entangled(pt_spectrum(state), tol)
             if gauss_entangled != (neg > 1e-6):
                 disagreements += 1
     except TruncationLeak as exc:

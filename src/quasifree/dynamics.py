@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matkit
-from .errors import DomainError, NonPhysicalInput, NotCP, Unstable
-from .gaussian_state import Covariance, _lock, _physical_spectra, is_physical
+from .errors import DomainError, NonPhysicalInput, NotCP, NotHermitian, Unstable
+from .gaussian_state import Covariance, _boundary_cut, _half_sigma, _lock, _pt_matrix, _spectrum, is_physical
 
 # check_cp admits eigenvalues down to -CP_RTOL * ||C|| (spectral norm).
 CP_RTOL = 1e-12
@@ -33,8 +33,9 @@ CP_RTOL = 1e-12
 STABILITY_TOL = 1e-12
 
 # propagate_steps refuses, before propagating, a grid of more samples than
-# this (t = 0 included): every sample is a validated Covariance, so a grid
-# costs time and memory in proportion to its length.
+# this (t = 0 included): the samples live in one (N, 2n, 2n) stack, checked
+# and diagonalized as a whole, so a grid costs time and memory in proportion
+# to its length.
 MAX_SAMPLES = 100_000
 
 # Physicality cut for the samples of a CP trajectory.
@@ -188,19 +189,20 @@ def _propagator_pieces(gen: DriftDiffusion, t: float) -> tuple[np.ndarray, np.nd
     return e_ta, 0.5 * (f + f.conj().T)
 
 
-def _require_propagatable(v0: Covariance, bath: BathSpec, allow_non_cp: bool) -> None:
+def _require_propagatable(v0: Covariance, bath: BathSpec, allow_non_cp: bool) -> bool:
+    """Refuse a bad start, and a non-CP bath unless allowed; return the CP verdict."""
     if v0.n != bath.n:
         raise ValueError(f"state has {v0.n} modes but bath has {bath.n}")
     physical, min_eig = is_physical(v0)
     if not physical:
         raise NonPhysicalInput(f"initial covariance violates positivity, min eigenvalue {min_eig:.3e}")
-    if not allow_non_cp:
-        ok, min_c = check_cp(bath)
-        if not ok:
-            raise NotCP(
-                f"Kossakowski matrix has negative eigenvalue {min_c:.3e}; "
-                "pass allow_non_cp=True to propagate anyway"
-            )
+    ok, min_c = check_cp(bath)
+    if not ok and not allow_non_cp:
+        raise NotCP(
+            f"Kossakowski matrix has negative eigenvalue {min_c:.3e}; "
+            "pass allow_non_cp=True to propagate anyway"
+        )
+    return ok
 
 
 def propagate_exact(v0: Covariance, bath: BathSpec, t: float, *, allow_non_cp: bool = False) -> Covariance:
@@ -243,6 +245,27 @@ def _grid_times(t_max: float, dt: float) -> np.ndarray:
     return np.append(np.arange(n_steps) * dt, t_max)
 
 
+def _checked_samples(raw: np.ndarray) -> np.ndarray:
+    """The checks of Covariance.__post_init__, batched over an (N, m, m)
+    stack of unsymmetrized samples: raise for the first sample that is not
+    finite or not Hermitian to HERMITICITY_RTOL, with the constructor's
+    message, else return the Hermitian parts, bit for bit the constructor's."""
+    raw_h = raw.conj().transpose(0, 2, 1)
+    finite = np.isfinite(raw).all(axis=(1, 2))
+    scale = np.abs(raw).max(axis=(1, 2))
+    defect = np.abs(raw - raw_h).max(axis=(1, 2))
+    bad = ~finite | (defect > matkit.HERMITICITY_RTOL * np.maximum(scale, 1e-300))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not finite[k]:
+            raise ValueError("matrix entries must be finite")
+        raise NotHermitian(
+            f"symmetrization residual {defect[k]:.3e} exceeds "
+            f"{matkit.HERMITICITY_RTOL:.1e} * max|entry| = {matkit.HERMITICITY_RTOL * scale[k]:.3e}"
+        )
+    return 0.5 * (raw + raw_h)
+
+
 def propagate_steps(
     v0: Covariance, bath: BathSpec, t_max: float, dt: float, *, allow_non_cp: bool = False
 ) -> Trajectory:
@@ -254,30 +277,40 @@ def propagate_steps(
     final step is taken when dt does not divide t_max.  A grid longer than
     MAX_SAMPLES is refused with DomainError before any propagation.
 
-    For a CP bath every sample must be physical; the check runs once, as one
-    batched eigensolve over the stack of samples, and names the eigenvalue of
-    the first sample that fails.
+    The samples fill one read-only (N, 2n, 2n) stack that passes the checks
+    of Covariance.__post_init__ in one batch, as does its eigensolve for
+    V + Sigma/2 (and, for two modes, T V T + Sigma/2); each sample is a
+    Covariance over a view of the stack, seeded with its rows of the spectra.
+    For a CP bath every sample must be physical; the error names the
+    eigenvalue of the first sample that fails.
     """
     times = _grid_times(t_max, dt)
-    _require_propagatable(v0, bath, allow_non_cp)
-    certified = check_cp(bath)[0]
+    certified = _require_propagatable(v0, bath, allow_non_cp)
     gen = drift_diffusion(bath)
 
-    states = [v0]
+    n = v0.n
+    raw = np.empty((len(times), 2 * n, 2 * n), dtype=complex)
+    raw[0] = v = v0.v
     e_step, f_step = _propagator_pieces(gen, dt)
     for k in range(1, len(times)):
         step = times[k] - times[k - 1] if k == len(times) - 1 else dt
         if abs(step - dt) > 1e-12 * max(dt, 1.0):
             e_step, f_step = _propagator_pieces(gen, step)
-        v = e_step.conj().T @ states[-1].v @ e_step + f_step
-        states.append(Covariance(v, v0.n))
+        raw[k] = e_step.conj().T @ v @ e_step + f_step
+        v = 0.5 * (raw[k] + raw[k].conj().T)
+    vs = _checked_samples(raw)
+    vs.setflags(write=False)
+
+    spectra = _spectrum(vs + _half_sigma(n))
     if certified:
-        ok, min_eigs = _physical_spectra(np.stack([s.v for s in states]), v0.n, _SAMPLE_PHYSICALITY_TOL)
+        ok = spectra[:, 0] >= _boundary_cut(spectra, _SAMPLE_PHYSICALITY_TOL)
         if not ok.all():
             first = int(np.argmin(ok))
             raise NonPhysicalInput(
-                f"CP evolution produced a non-physical sample (min eigenvalue {min_eigs[first]:.3e})"
+                f"CP evolution produced a non-physical sample (min eigenvalue {spectra[first, 0]:.3e})"
             )
+    pt_spectra = _spectrum(_pt_matrix(vs)) if n == 2 else [None] * len(times)
+    states = [Covariance._validated(v, n, w, w_pt) for v, w, w_pt in zip(vs, spectra, pt_spectra)]
     return Trajectory(times=times, states=states, cp_certified=certified)
 
 

@@ -31,9 +31,11 @@ from .errors import (
 )
 from .gaussian_state import (
     Covariance,
+    _T,
+    _TT,
     _boundary_cut,
-    _half_sigma,
     _lock,
+    _pt_matrix,
     collective_covariance,
     is_physical,
     sigma_matrix,
@@ -44,29 +46,13 @@ from .gaussian_state import (
 # separability so that boundary states are not misreported as entangled.
 ENT_TOL = 1e-10
 
-# The permutation T exchanging entries 0 and 2 of the mode ordering
-# (a1, a2, a1+, a2+), the covariance-level action of transposing the first
-# mode, kept as an index: T x is x[_T] and T M T is M[_TT].
-_T = np.array([2, 1, 0, 3])
-_TT = np.ix_(_T, _T)
-
-_HALF_SIGMA = _half_sigma(2)
 _SIGMA_T = _lock(sigma_matrix(2)[_TT])  # T Sigma T
 
 
-def _pt_matrix(cov: Covariance) -> np.ndarray:
-    """V~ + Sigma/2 = T V T + Sigma/2, the matrix whose spectrum decides the
-    PPT test and whose null space carries the witness.  A symmetric
-    permutation of the exactly Hermitian cov.v plus a real diagonal, so the
-    result is exactly Hermitian too and its spectrum needs no re-validation."""
-    if cov.n != 2:
-        raise WrongModeCount(f"partial transposition is defined here for 2 modes, got {cov.n}")
-    return cov.v[_TT] + _HALF_SIGMA
-
-
 def pt_spectrum(cov: Covariance) -> np.ndarray:
-    """Ascending spectrum of V~ + Sigma/2, the input of every PT verdict."""
-    return matkit.hermitian_spectrum(_pt_matrix(cov))
+    """Ascending spectrum of V~ + Sigma/2, the input of every PT verdict:
+    the read-only cov.pt_spectrum, computed once per Covariance."""
+    return cov.pt_spectrum
 
 
 def pt_margin(w: np.ndarray, tol: float = ENT_TOL) -> float:
@@ -110,7 +96,7 @@ def initial_null_basis(cov: Covariance, tol: float = matkit.NULL_SPACE_RTOL) -> 
     strictly interior states do not, and then the witness construction is
     inapplicable (fall back to ppt_test along the trajectory).
     """
-    basis = matkit.null_space(_pt_matrix(cov), tol=tol)
+    basis = matkit.null_space(_pt_matrix(cov.v), tol=tol)
     if basis.shape[1] == 0:
         raise EmptyNullSpace(
             "V~(0) + Sigma/2 has no null vector; the derivative witness does not apply"
@@ -163,7 +149,7 @@ def generation_witness(
 
     which equals (lhs - rhs)/2 because psi annihilates V~(0) + Sigma/2.
     """
-    m0 = _pt_matrix(v0)
+    m0 = _pt_matrix(v0.v)
     if not allow_non_cp:
         ok, min_c = check_cp(bath)
         if not ok:

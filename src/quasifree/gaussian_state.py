@@ -9,15 +9,19 @@ alpha[i, j] = <a_i a_j> and beta[i, j] = <a_i a_j^dag>.  We store them in the
 ordered as (a_1 .. a_n, a_1^dag .. a_n^dag).  The state is physical exactly
 when V + Sigma/2 >= 0, with Sigma = diag(+1 .. +1, -1 .. -1) the matrix of
 canonical commutators.
+
+A Covariance memoizes the two spectra every verdict reads, of V + Sigma/2
+and (two modes) of the partial transpose T V T + Sigma/2.  That is safe: the
+dataclass is frozen, v is read-only, and the spectra depend on nothing else.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import matkit
-from .errors import NegativeOccupation, NotNormalizable
+from .errors import NegativeOccupation, NotNormalizable, WrongModeCount
 
 # Eigenvalue tolerance for the physicality test.  Pure states sit exactly on
 # the boundary of V + Sigma/2 >= 0, so the test must admit tiny negative
@@ -56,16 +60,29 @@ def _boundary_cut(w: np.ndarray, tol: float) -> np.ndarray:
     return -np.maximum(tol, _ROUNDOFF * np.abs(w).max(axis=-1))
 
 
-def _physical_spectra(vs: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Physicality of one covariance matrix or an (N, 2n, 2n) stack of them:
-    the verdicts w_min >= _boundary_cut(w, tol) and the minimum eigenvalues
-    w_min of V + Sigma/2.
+# The permutation T exchanging entries 0 and 2 of the two-mode ordering
+# (a1, a2, a1+, a2+), the covariance-level action of transposing the first
+# mode, kept as an index: T x is x[_T] and T M T is M[_TT].
+_T = np.array([2, 1, 0, 3])
+_TT = np.ix_(_T, _T)
+_TT_ANY = (Ellipsis, *_TT)  # the same on the last two axes of a stack
 
-    The matrices must be Covariance.v arrays: finite and exactly Hermitian,
-    so adding the real diagonal Sigma/2 keeps V + Sigma/2 exactly Hermitian
-    and the spectrum needs no re-validation."""
-    w = matkit.hermitian_spectrum(vs + _half_sigma(n))
-    return w[..., 0] >= _boundary_cut(w, tol), w[..., 0]
+
+def _pt_matrix(v: np.ndarray) -> np.ndarray:
+    """T V T + Sigma/2 of a two-mode covariance matrix, or of each matrix in
+    an (N, 4, 4) stack of them: the matrix whose spectrum decides the PPT
+    test and whose null space carries the witness.  A symmetric permutation
+    of an exactly Hermitian v plus a real diagonal, so the result is exactly
+    Hermitian too and its spectrum needs no re-validation."""
+    if v.shape[-1] != 4:
+        raise WrongModeCount(f"partial transposition is defined here for 2 modes, got {v.shape[-1] // 2}")
+    return v[_TT_ANY] + _half_sigma(2)
+
+
+def _spectrum(m: np.ndarray) -> np.ndarray:
+    w = matkit.hermitian_spectrum(m)
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)
@@ -80,6 +97,33 @@ class Covariance:
         if a.shape[0] != 2 * self.n:
             raise ValueError(f"covariance must be {2 * self.n}x{2 * self.n}, got {a.shape}")
         object.__setattr__(self, "v", _lock(matkit.require_hermitian(a)))
+
+    @classmethod
+    def _validated(cls, v: np.ndarray, n: int, spectrum: np.ndarray, pt_spectrum=None) -> "Covariance":
+        """A Covariance over a read-only v that the caller has already put
+        through every check of __post_init__, with its spectra seeded from a
+        batched eigensolve of the same bits."""
+        cov = object.__new__(cls)
+        cov.__dict__.update(v=v, n=n, spectrum=spectrum)
+        if pt_spectrum is not None:
+            cov.__dict__["pt_spectrum"] = pt_spectrum
+        return cov
+
+    def __reduce__(self):
+        # numpy does not pickle the read-only flag, so a copy is rebuilt
+        # through __post_init__ rather than carried over with its spectra
+        return (Covariance, (self.v, self.n))
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Ascending, read-only spectrum of V + Sigma/2."""
+        return _spectrum(self.v + _half_sigma(self.n))
+
+    @cached_property
+    def pt_spectrum(self) -> np.ndarray:
+        """Ascending, read-only spectrum of the partial transpose
+        T V T + Sigma/2; two modes only."""
+        return _spectrum(_pt_matrix(self.v))
 
     @property
     def alpha(self) -> np.ndarray:
@@ -118,9 +162,6 @@ class CovarianceBlocks:
     @property
     def n(self) -> int:
         return self.alpha.shape[0]
-
-    def to_covariance(self) -> "Covariance":
-        return from_blocks(self.alpha, self.beta)
 
 
 def from_blocks(alpha, beta) -> Covariance:
@@ -188,10 +229,6 @@ def collective_covariance(alpha_sym: complex, beta_sym: float, beta_anti: float)
 
 def is_physical(cov: Covariance, tol: float = PHYSICALITY_TOL) -> tuple[bool, float]:
     """Test V + Sigma/2 >= 0 up to the scale-relative _boundary_cut; returns
-    the verdict and the minimum eigenvalue.
-
-    Covariance.__post_init__ has already made v finite, read-only and exactly
-    Hermitian, so the spectrum is taken without re-validating it."""
-    ok, min_eig = _physical_spectra(cov.v, cov.n, tol)
-    return bool(ok), float(min_eig)
-
+    the verdict and the minimum eigenvalue, read from cov.spectrum."""
+    w = cov.spectrum
+    return bool(w[0] >= _boundary_cut(w, tol)), float(w[0])

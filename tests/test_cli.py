@@ -303,6 +303,18 @@ class TestOracleCompare:
         cfg = write_config(tmp_path, doc)
         assert main(["oracle-compare", "--config", cfg, "--cutoff", "10", "--oracle-dt", "0.002"]) == 0
 
+    def test_tol_override_reaches_the_gaussian_verdict(self, tmp_path, capsys):
+        # every sample is entangled in both pictures; a --tol above the PT
+        # margin makes the Gaussian side read separable, so all three disagree
+        doc = json.loads((CONFIG_DIR / "vacuum_generation.json").read_text())
+        doc["time"] = {"t_max": 0.3, "dt": 0.1}
+        cfg = write_config(tmp_path, doc)
+        args = ["oracle-compare", "--config", cfg, "--cutoff", "10", "--oracle-dt", "0.002"]
+        assert main(args) == 0
+        assert capsys.readouterr().out.endswith("verdict disagreements: 0 of 3\n")
+        assert main(args + ["--tol", "10.0"]) == 6
+        assert capsys.readouterr().out.endswith("verdict disagreements: 3 of 3\n")
+
     def test_invalid_initial_state_exits_one(self, tmp_path, capsys):
         # the config is validated before the oracle builds its Fock state,
         # so the error matches the one 'evolve' reports

@@ -18,9 +18,16 @@ from quasifree import (
     thermal,
     vacuum,
 )
-from quasifree.errors import DomainError, NonPhysicalInput, NotCP, NotHermitian, Unstable
+from quasifree.errors import DomainError, NonPhysicalInput, NotCP, NotHermitian, Unstable, WrongModeCount
+from quasifree.gaussian_state import Covariance
 
-from conftest import linear_chunk_propagate, lowering_operators, random_cp_bath
+from conftest import (
+    eigensystem_min_physical,
+    eigensystem_min_pt,
+    linear_chunk_propagate,
+    lowering_operators,
+    random_cp_bath,
+)
 
 
 def vacuum_noise_bath():
@@ -330,6 +337,81 @@ class TestPropagation:
 
         with pytest.raises(NonPhysicalInput):
             propagate_exact(Covariance(-np.eye(4), 2), vacuum_noise_bath(), 0.1)
+
+
+class TestStackedTrajectory:
+    """propagate_steps keeps its samples in one checked, read-only stack and
+    seeds each sample's spectra from batched eigensolves."""
+
+    def test_seeded_spectra_are_bit_equal_to_fresh_ones(self, rng):
+        for _ in range(5):
+            bath = random_cp_bath(rng, strength=rng.uniform(0.4, 1.5))
+            v0 = thermal(2, rng.uniform(0, 1, size=2))
+            traj = propagate_steps(v0, bath, 2.3, 0.1)
+            assert traj.states[0].v.tobytes() == v0.v.tobytes()
+            for s in traj.states:
+                fresh = Covariance(s.v, 2)
+                assert fresh.v.tobytes() == s.v.tobytes()
+                assert s.spectrum.tobytes() == fresh.spectrum.tobytes()
+                assert s.pt_spectrum.tobytes() == fresh.pt_spectrum.tobytes()
+                assert s.spectrum[0] == eigensystem_min_physical(s)
+                assert s.pt_spectrum[0] == eigensystem_min_pt(s)
+
+    def test_samples_and_spectra_are_read_only_views_of_one_stack(self):
+        traj = propagate_steps(vacuum(2), vacuum_noise_bath(), 1.0, 0.1)
+        stack = traj.states[0].v.base
+        assert stack.shape == (11, 4, 4)
+        for s in traj.states:
+            assert s.v.base is stack
+            for a in (s.v, s.spectrum, s.pt_spectrum):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
+
+    def test_one_mode_trajectory(self):
+        bath = collective_sector_bath(1.0, 0.5, 0.1, 0.7)
+        traj = propagate_steps(vacuum(1), bath, 2.0, 0.25)
+        assert len(traj.states) == 9
+        for s in traj.states:
+            assert s.spectrum.tobytes() == Covariance(s.v, 1).spectrum.tobytes()
+            assert is_physical(s)[0]
+            with pytest.raises(WrongModeCount):
+                s.pt_spectrum
+        assert np.abs(traj.states[-1].v - propagate_exact(vacuum(1), bath, 2.0).v).max() < 1e-12
+
+    def _patched_steps(self, monkeypatch, spoil):
+        from quasifree import dynamics
+
+        honest = dynamics._propagator_pieces
+
+        def spoiled(gen, t):
+            e, f = honest(gen, t)
+            return e, spoil(f, t)
+
+        monkeypatch.setattr(dynamics, "_propagator_pieces", spoiled)
+        return lambda: propagate_steps(vacuum(2), vacuum_noise_bath(), 1.05, 0.1)
+
+    def test_anti_hermitian_step_is_refused_as_the_constructor_would(self, monkeypatch):
+        skew = 1e-6 * np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1j], [0, 0, 1j, 0]])
+        v1 = propagate_exact(vacuum(2), vacuum_noise_bath(), 0.1).v
+        with pytest.raises(NotHermitian) as direct:
+            Covariance(v1 + skew, 2)
+        run = self._patched_steps(monkeypatch, lambda f, t: f + skew)
+        with pytest.raises(NotHermitian) as batched:
+            run()
+        # the first sample fails, with the constructor's message up to
+        # roundoff in max|entry|
+        assert str(batched.value).split(" = ")[0] == str(direct.value).split(" = ")[0]
+
+    def test_defect_in_the_last_step_only_is_still_caught(self, monkeypatch):
+        skew = 1e-6 * np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+        run = self._patched_steps(monkeypatch, lambda f, t: f + skew if t < 0.09 else f)
+        with pytest.raises(NotHermitian, match="symmetrization residual 2.000e-06"):
+            run()
+
+    def test_non_finite_step_is_refused(self, monkeypatch):
+        run = self._patched_steps(monkeypatch, lambda f, t: np.full_like(f, np.nan))
+        with pytest.raises(ValueError, match="must be finite"):
+            run()
 
 
 class TestSteadyState:

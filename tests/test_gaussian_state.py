@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -13,10 +16,10 @@ from quasifree import (
     vacuum,
 )
 from quasifree import fock_oracle
-from quasifree.errors import NegativeOccupation, NotHermitian, NotNormalizable
+from quasifree.errors import NegativeOccupation, NotHermitian, NotNormalizable, WrongModeCount
 from quasifree.gaussian_state import Covariance
 
-from conftest import eigensystem_min_physical, full_transpose, random_physical_covariance
+from conftest import eigensystem_min_physical, eigensystem_min_pt, full_transpose, random_physical_covariance
 
 
 class TestConstructors:
@@ -129,6 +132,45 @@ class TestPhysicality:
         # at moderate scale the cut is the absolute tolerance, as before
         ok, min_eig = is_physical(Covariance(vacuum(2).v - 2e-10 * np.eye(4), 2))
         assert not ok and min_eig == pytest.approx(-2e-10, rel=1e-6)
+
+
+class TestSpectra:
+    def test_memoized_read_only_and_bit_equal_to_validating_route(self, rng, monkeypatch):
+        calls = []
+        honest = matkit.hermitian_spectrum
+        monkeypatch.setattr(matkit, "hermitian_spectrum", lambda h: calls.append(1) or honest(h))
+        for _ in range(20):
+            cov = random_physical_covariance(rng)
+            calls.clear()
+            for _ in range(3):
+                is_physical(cov)
+                assert cov.spectrum is cov.spectrum and cov.pt_spectrum is cov.pt_spectrum
+            assert len(calls) == 2
+            assert cov.spectrum[0] == eigensystem_min_physical(cov)
+            assert cov.pt_spectrum[0] == eigensystem_min_pt(cov)
+            for w in (cov.spectrum, cov.pt_spectrum):
+                with pytest.raises(ValueError, match="read-only"):
+                    w[0] = 0.0
+
+    def test_frozen_state_cannot_drift_from_its_spectra(self):
+        cov = vacuum(2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cov.v = -np.eye(4)
+        with pytest.raises(ValueError, match="read-only"):
+            cov.v[0, 0] = -1.0
+        assert is_physical(cov)[0]
+        # numpy drops the read-only flag when pickling; a copy must come back
+        # locked and without spectra it could drift from
+        copy = pickle.loads(pickle.dumps(cov))
+        assert not copy.v.flags.writeable and "spectrum" not in vars(copy)
+        assert copy.v.tobytes() == cov.v.tobytes()
+
+    def test_pt_spectrum_needs_two_modes(self):
+        assert vacuum(1).spectrum.shape == (2,)
+        with pytest.raises(WrongModeCount):
+            vacuum(1).pt_spectrum
+        with pytest.raises(WrongModeCount):
+            vacuum(3).pt_spectrum
 
 
 class TestBlocks:
