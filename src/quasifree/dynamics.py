@@ -11,6 +11,10 @@ whose drift A and diffusion B are assembled in :func:`drift_diffusion`.  The
 generated semigroup is completely positive exactly when the Kossakowski
 matrix of :func:`kossakowski` is positive semidefinite.
 
+check_cp and drift_diffusion return pieces a BathSpec derives once and
+memoizes (as DriftDiffusion memoizes ||A||_2 and max Re eig A).  That is safe:
+both dataclasses are frozen over read-only arrays, with no global state.
+
 Index convention for lambda_hat: entry lam[i, j] pairs the i-th lowering
 operator on the left of the state with the j-th on the right, so for a single
 nonzero entry the two-mode CP bound reads |lam_21|^2 <= eta_22 * sigma_11.
@@ -18,6 +22,7 @@ nonzero entry the two-mode CP bound reads |lam_21|^2 <= eta_22 * sigma_11.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,17 +81,60 @@ class BathSpec:
         for name, a in mats.items():
             object.__setattr__(self, name, _lock(a))
 
+    def __reduce__(self):
+        # numpy does not pickle the read-only flag, so a copy is rebuilt
+        # through __post_init__ rather than carried over with its pieces
+        return (BathSpec, (self.omega, self.eta, self.sigma, self.lam))
+
     @property
     def n(self) -> int:
         return self.omega.shape[0]
 
+    @cached_property
+    def _cp(self) -> tuple[bool, float]:
+        w, _ = matkit.hermitian_eigensystem(kossakowski(self))
+        return float(w[0]) >= -CP_RTOL * float(np.abs(w).max(initial=0.0)), float(w[0])
+
+    @cached_property
+    def _drift_diffusion(self) -> "DriftDiffusion":
+        n = self.n
+        lam = self.lam.T  # generator-side coupling; see module docstring
+        lam_s = 0.5 * (lam + lam.T)
+        lam_a = 0.5 * (lam - lam.T)
+        eta, sig, om = self.eta, self.sigma, self.omega
+        a = np.empty((2 * n, 2 * n), dtype=complex)
+        b = np.empty_like(a)
+        a[:n, :n], a[:n, n:] = sig.conj() - eta + 2j * om, -2.0 * lam_a.conj()
+        a[n:, :n], a[n:, n:] = -2.0 * lam_a, sig - eta.conj() - 2j * om.conj()
+        b[:n, :n], b[:n, n:] = sig.conj() + eta, -2.0 * lam_s.conj()
+        b[n:, :n], b[n:, n:] = -2.0 * lam_s, sig + eta.conj()
+        return DriftDiffusion(a=0.5 * a, b=0.5 * b)
+
 
 @dataclass(frozen=True)
 class DriftDiffusion:
-    """Drift A and diffusion B of the covariance flow dV/dt = A^dag V + V A + B."""
+    """Drift A and diffusion B of the covariance flow dV/dt = A^dag V + V A + B,
+    read-only, with ||A||_2 and max Re eig(A) memoized."""
 
     a: np.ndarray
     b: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", _lock(self.a))
+        object.__setattr__(self, "b", _lock(self.b))
+
+    def __reduce__(self):
+        return (DriftDiffusion, (self.a, self.b))
+
+    @cached_property
+    def norm(self) -> float:
+        """Spectral norm ||A||_2 of the drift."""
+        return float(np.linalg.norm(self.a, 2))
+
+    @cached_property
+    def max_re_eig(self) -> float:
+        """Largest real part of an eigenvalue of the drift."""
+        return float(np.linalg.eigvals(self.a).real.max())
 
 
 @dataclass(frozen=True)
@@ -118,32 +166,15 @@ def kossakowski(bath: BathSpec) -> np.ndarray:
 
 
 def check_cp(bath: BathSpec) -> tuple[bool, float]:
-    """Complete-positivity verdict and the minimum Kossakowski eigenvalue."""
-    w, _ = matkit.hermitian_eigensystem(kossakowski(bath))
-    min_eig = float(w[0])
-    norm = float(np.abs(w).max(initial=0.0))
-    return min_eig >= -CP_RTOL * norm, min_eig
+    """Complete-positivity verdict and the minimum Kossakowski eigenvalue,
+    computed once per BathSpec."""
+    return bath._cp
 
 
 def drift_diffusion(bath: BathSpec) -> DriftDiffusion:
-    """Assemble the drift and diffusion matrices from the bath coefficients."""
-    lam = bath.lam.T  # generator-side coupling; see module docstring
-    lam_s = 0.5 * (lam + lam.T)
-    lam_a = 0.5 * (lam - lam.T)
-    eta, sig, om = bath.eta, bath.sigma, bath.omega
-    a = 0.5 * np.block(
-        [
-            [sig.conj() - eta + 2j * om, -2.0 * lam_a.conj()],
-            [-2.0 * lam_a, sig - eta.conj() - 2j * om.conj()],
-        ]
-    )
-    b = 0.5 * np.block(
-        [
-            [sig.conj() + eta, -2.0 * lam_s.conj()],
-            [-2.0 * lam_s, sig + eta.conj()],
-        ]
-    )
-    return DriftDiffusion(a=a, b=b)
+    """The drift and diffusion matrices of the bath, assembled once per
+    BathSpec."""
+    return bath._drift_diffusion
 
 
 def _propagator_pieces_single(gen: DriftDiffusion, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -178,10 +209,9 @@ def _propagator_pieces(gen: DriftDiffusion, t: float) -> tuple[np.ndarray, np.nd
 
     so the cost grows as log t rather than t (Van Loan, IEEE TAC 23 (1978)
     395), and fewer compositions also mean less accumulated roundoff."""
-    scale = float(np.linalg.norm(gen.a, 2))
-    if t * scale <= _MAX_CHUNK_NORM:
+    if t * gen.norm <= _MAX_CHUNK_NORM:
         return _propagator_pieces_single(gen, t)
-    k = math.ceil(math.log2(t * scale / _MAX_CHUNK_NORM))
+    k = math.ceil(math.log2(t * gen.norm / _MAX_CHUNK_NORM))
     e_ta, f = _propagator_pieces_single(gen, math.ldexp(t, -k))
     for _ in range(k):
         f = e_ta.conj().T @ f @ e_ta + f
@@ -322,7 +352,7 @@ def steady_state(bath: BathSpec) -> Covariance:
     if not ok:
         raise NotCP(f"Kossakowski matrix has negative eigenvalue {min_c:.3e}")
     gen = drift_diffusion(bath)
-    re_max = float(np.linalg.eigvals(gen.a).real.max())
+    re_max = gen.max_re_eig
     if re_max >= -STABILITY_TOL:
         raise Unstable(
             f"drift has eigenvalue with Re = {re_max:.3e} >= -{STABILITY_TOL:.0e}; "

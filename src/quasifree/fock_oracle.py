@@ -31,7 +31,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from . import matkit
 from .dynamics import BathSpec, kossakowski
@@ -51,7 +50,10 @@ DEFAULT_DT = 1e-3
 
 def _sparse_lowering_operators(cutoff: int):
     """Sparse truncated lowering operators (a_1, a_2) on the two-mode space
-    with per-mode occupation 0..cutoff."""
+    with per-mode occupation 0..cutoff.  scipy.sparse is imported here, its
+    one user, so a process that builds no oracle never loads it."""
+    import scipy.sparse
+
     if cutoff < 2:
         raise CutoffTooSmall(f"cutoff must be >= 2, got {cutoff}")
     q = cutoff + 1

@@ -1,13 +1,15 @@
 """Dense complex matrix kernel.
 
 Every routine here is a pure function over immutable inputs: no caching, no
-global state, deterministic output for identical input bits.  (The one cache
-above this layer is Covariance's memoized spectra, which is safe because a
-Covariance is frozen over a read-only v.)  All other
-modules funnel their linear algebra through these entry points so that the
-validation rules (finiteness, squareness, Hermiticity tolerances) are applied
-uniformly.  The one unvalidated entry point, hermitian_spectrum, is for hot
-paths whose input is Hermitian by construction.
+global state, deterministic output for identical input bits.  (The caches
+above this layer are Covariance's memoized spectra and BathSpec's memoized
+CP verdict and drift/diffusion pair.  They are safe because both dataclasses
+are frozen, their fields are read-only arrays, and no global state is
+involved.)  All other modules funnel their linear algebra through these
+entry points so that the validation rules (finiteness, squareness,
+Hermiticity tolerances) are applied uniformly.  The one unvalidated entry
+point, hermitian_spectrum, is for hot paths whose input is Hermitian by
+construction.
 """
 
 import numpy as np

@@ -68,6 +68,35 @@ def bath_from_kossakowski(c, omega):
     return bath
 
 
+def block_drift_diffusion(bath):
+    """Reference (A, B): the np.block assembly of the drift and diffusion
+    from the bath coefficients, with the library's expressions."""
+    lam = bath.lam.T
+    lam_s = 0.5 * (lam + lam.T)
+    lam_a = 0.5 * (lam - lam.T)
+    eta, sig, om = bath.eta, bath.sigma, bath.omega
+    a = 0.5 * np.block(
+        [
+            [sig.conj() - eta + 2j * om, -2.0 * lam_a.conj()],
+            [-2.0 * lam_a, sig - eta.conj() - 2j * om.conj()],
+        ]
+    )
+    b = 0.5 * np.block(
+        [
+            [sig.conj() + eta, -2.0 * lam_s.conj()],
+            [-2.0 * lam_s, sig + eta.conj()],
+        ]
+    )
+    return a, b
+
+
+def reference_check_cp(bath):
+    """Reference CP pair: a fresh eigensolve of the Kossakowski matrix."""
+    w, _ = matkit.hermitian_eigensystem(kossakowski(bath))
+    min_eig = float(w[0])
+    return min_eig >= -1e-12 * float(np.abs(w).max(initial=0.0)), min_eig
+
+
 def random_physical_covariance(rng, t=0.7):
     """A generic physical two-mode covariance: the vacuum evolved for a while
     under a random CP bath."""

@@ -1,4 +1,10 @@
+import copy
+import json
 import math
+import pickle
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,11 +28,13 @@ from quasifree.errors import DomainError, NonPhysicalInput, NotCP, NotHermitian,
 from quasifree.gaussian_state import Covariance
 
 from conftest import (
+    block_drift_diffusion,
     eigensystem_min_physical,
     eigensystem_min_pt,
     linear_chunk_propagate,
     lowering_operators,
     random_cp_bath,
+    reference_check_cp,
 )
 
 
@@ -412,6 +420,112 @@ class TestStackedTrajectory:
         run = self._patched_steps(monkeypatch, lambda f, t: np.full_like(f, np.nan))
         with pytest.raises(ValueError, match="must be finite"):
             run()
+
+
+class TestBathPieces:
+    """A BathSpec derives its CP pair and (A, B) once; check_cp and
+    drift_diffusion return the stored pieces, bit for bit the fresh ones."""
+
+    def test_pieces_are_bit_equal_to_a_fresh_assembly(self, rng):
+        baths = [random_cp_bath(rng, strength=rng.uniform(0.3, 2.0)) for _ in range(20)]
+        baths += [collective_bath(1.0, 0.5, 0.0, 0.8), collective_sector_bath(1.0, 0.5, 0.1, 0.7), ZERO_BATH]
+        for bath in baths:
+            a, b = block_drift_diffusion(bath)
+            gen = drift_diffusion(bath)
+            assert gen.a.tobytes() == a.tobytes() and gen.b.tobytes() == b.tobytes()
+            assert check_cp(bath) == reference_check_cp(bath)
+            assert gen.norm == float(np.linalg.norm(a, 2))
+            assert gen.max_re_eig == float(np.linalg.eigvals(a).real.max())
+        assert not check_cp(baths[20])[0]
+
+    def test_pieces_are_stored_and_read_only(self):
+        bath = vacuum_noise_bath()
+        gen = drift_diffusion(bath)
+        assert drift_diffusion(bath) is gen and check_cp(bath) is check_cp(bath)
+        for arr in (gen.a, gen.b, bath.omega, bath.eta, bath.sigma, bath.lam):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
+
+    def test_copies_come_back_locked_and_bit_equal(self):
+        bath = vacuum_noise_bath()
+        gen, cp = drift_diffusion(bath), check_cp(bath)
+        for twin in (pickle.loads(pickle.dumps(bath)), copy.deepcopy(bath)):
+            twin_gen = drift_diffusion(twin)
+            assert twin_gen is not gen and check_cp(twin) == cp
+            for name in ("omega", "eta", "sigma", "lam"):
+                mine, theirs = getattr(bath, name), getattr(twin, name)
+                assert not theirs.flags.writeable and theirs.tobytes() == mine.tobytes()
+            for mine, theirs in ((gen.a, twin_gen.a), (gen.b, twin_gen.b)):
+                assert not theirs.flags.writeable and theirs.tobytes() == mine.tobytes()
+        for twin_gen in (pickle.loads(pickle.dumps(gen)), copy.deepcopy(gen)):
+            assert not twin_gen.a.flags.writeable and not twin_gen.b.flags.writeable
+            assert twin_gen.a.tobytes() == gen.a.tobytes() and twin_gen.norm == gen.norm
+
+    def test_every_consumer_reads_the_one_eigensolve_and_norm(self, rng, monkeypatch):
+        from quasifree import matkit, scan_generation_witness
+
+        bath = random_cp_bath(rng)
+        c = kossakowski(bath)
+        a, _ = block_drift_diffusion(bath)
+        eigensolves, norms = [], []
+        eigensystem, norm = matkit.hermitian_eigensystem, np.linalg.norm
+
+        def counting_eigensystem(m):
+            if np.shape(m) == c.shape and np.array_equal(m, c):
+                eigensolves.append(m)
+            return eigensystem(m)
+
+        def counting_norm(x, *args, **kwargs):
+            if np.shape(x) == a.shape and np.array_equal(x, a):
+                norms.append(args or kwargs)
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(matkit, "hermitian_eigensystem", counting_eigensystem)
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        v0 = vacuum(2)
+        for t in (1e-2, 1.0, 30.0, 1e3, 1e5):
+            propagate_exact(v0, bath, t)
+        propagate_steps(v0, bath, 2.0, 0.1)
+        steady_state(bath)
+        scan_generation_witness(v0, bath)
+        assert len(eigensolves) == 1 and len(norms) == 1
+
+    def test_refusals_are_unchanged(self, tmp_path, capsys):
+        from quasifree.cli import main
+
+        bath = collective_bath(1.0, 0.5, 0.0, 0.8)
+        min_c = reference_check_cp(bath)[1]
+        for _ in range(2):
+            with pytest.raises(NotCP, match=re.escape(f"negative eigenvalue {min_c:.3e}; pass allow_non_cp")):
+                propagate_exact(vacuum(2), bath, 0.5)
+            with pytest.raises(NotCP, match=re.escape(f"negative eigenvalue {min_c:.3e}") + "$"):
+                steady_state(bath)
+        # sigma = 0: the undamped antisymmetric mode leaves no unique
+        # equilibrium, and the steady verb still reports the vacuum, exit 3
+        decay = collective_bath(1.0, 0.0, 0.0, 0.0)
+        re_max = float(np.linalg.eigvals(block_drift_diffusion(decay)[0]).real.max())
+        for _ in range(2):
+            with pytest.raises(Unstable, match=re.escape(f"Re = {re_max:.3e} >= -1e-12")):
+                steady_state(decay)
+        doc = {
+            "modes": 2,
+            "bath": {"collective": {"eta": 1.0, "sigma": 0.0, "omega": 0.0, "lambda": [0.0, 0.0]}},
+            "initial_state": {"kind": "vacuum"},
+            "time": {"t_max": 1.0, "dt": 0.5},
+        }
+        path = tmp_path / "decay.json"
+        path.write_text(json.dumps(doc))
+        assert main(["steady", "--config", str(path)]) == 3
+        assert "asymptotically entangled: boundary/indeterminate" in capsys.readouterr().out
+
+    def test_importing_the_library_defers_scipy_sparse_to_the_oracle(self):
+        script = (
+            "import sys, quasifree\n"
+            "assert 'scipy.sparse' not in sys.modules\n"
+            "quasifree.fock_oracle.build_generator(quasifree.collective_bath(1.0, 0.5, 0.1, 0.6), 3)\n"
+            "assert 'scipy.sparse' in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", script], check=True)
 
 
 class TestSteadyState:
