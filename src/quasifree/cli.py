@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fock_oracle
+from . import fock_oracle, matkit
 from .config import RunConfig, build_initial_covariance, load_config, parse_complex
 from .dynamics import (
     check_cp,
@@ -319,7 +319,7 @@ def cmd_oracle_compare(args) -> int:
             max_dev = max(max_dev, dev)
             neg = fock_oracle.negativity(rho)
             gauss_entangled = pt_entangled(pt_spectrum(state), tol)
-            if gauss_entangled != (neg > 1e-6):
+            if gauss_entangled != (neg > matkit.NEGATIVITY_TOL):
                 disagreements += 1
     except TruncationLeak as exc:
         print(f"truncation leak: {exc}")
@@ -330,7 +330,7 @@ def cmd_oracle_compare(args) -> int:
 
     print(f"max absolute moment deviation: {_fmt(max_dev)}")
     print(f"verdict disagreements: {disagreements} of {len(trajectory.times) - 1}")
-    if max_dev <= 1e-3 and disagreements == 0:
+    if max_dev <= matkit.MOMENT_TOL and disagreements == 0:
         return EXIT_OK
     return EXIT_ORACLE
 

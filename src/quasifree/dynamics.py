@@ -27,24 +27,14 @@ from functools import cached_property
 import numpy as np
 
 from . import matkit
-from .errors import DomainError, NonPhysicalInput, NotCP, NotHermitian, Unstable
-from .gaussian_state import Covariance, _boundary_cut, _half_sigma, _lock, _pt_matrix, _spectrum, is_physical
-
-# check_cp admits eigenvalues down to -CP_RTOL * ||C|| (spectral norm).
-CP_RTOL = 1e-12
-
-# steady_state demands Re(eig A) < -STABILITY_TOL strictly; a marginal mode
-# sitting at zero must be reported Unstable, not regularized away.
-STABILITY_TOL = 1e-12
+from .errors import DomainError, NonPhysicalInput, NotCP, Unstable
+from .gaussian_state import Covariance, _half_sigma, _lock, _pt_matrix, _spectrum, is_physical
 
 # propagate_steps refuses, before propagating, a grid of more samples than
 # this (t = 0 included): the samples live in one (N, 2n, 2n) stack, checked
 # and diagonalized as a whole, so a grid costs time and memory in proportion
 # to its length.
 MAX_SAMPLES = 100_000
-
-# Physicality cut for the samples of a CP trajectory.
-_SAMPLE_PHYSICALITY_TOL = 1e-8
 
 _ONES2 = np.ones((2, 2))
 
@@ -75,8 +65,7 @@ class BathSpec:
         for name in ("omega", "eta", "sigma"):
             mats[name] = matkit.require_hermitian(mats[name])
         w, _ = matkit.hermitian_eigensystem(mats["omega"])
-        scale = max(float(np.abs(w).max(initial=0.0)), 1e-300)
-        if w[0] < -1e-12 * scale:
+        if w[0] < -matkit.cut(w):
             raise DomainError(f"omega must be positive semidefinite, min eigenvalue {w[0]:.3e}")
         for name, a in mats.items():
             object.__setattr__(self, name, _lock(a))
@@ -93,7 +82,7 @@ class BathSpec:
     @cached_property
     def _cp(self) -> tuple[bool, float]:
         w, _ = matkit.hermitian_eigensystem(kossakowski(self))
-        return float(w[0]) >= -CP_RTOL * float(np.abs(w).max(initial=0.0)), float(w[0])
+        return bool(w[0] >= -matkit.cut(w)), float(w[0])
 
     @cached_property
     def _drift_diffusion(self) -> "DriftDiffusion":
@@ -253,9 +242,9 @@ def propagate_exact(v0: Covariance, bath: BathSpec, t: float, *, allow_non_cp: b
 
 
 def _grid_times(t_max: float, dt: float) -> np.ndarray:
-    """The sample times 0, dt, 2*dt, ..., t_max of propagate_steps: k*dt
-    while that stays short of t_max by more than 1e-12 * max(t_max, 1), then
-    t_max itself, so the last step is shorter when dt does not divide t_max.
+    """The sample times 0, dt, 2*dt, ..., t_max of propagate_steps: k*dt for
+    k below matkit.step_count(0, t_max, dt), then t_max itself, so the last
+    step is shorter when dt does not divide t_max (to roundoff at t_max/dt).
 
     Raises DomainError, without building the grid, when it would hold more
     than MAX_SAMPLES samples."""
@@ -263,13 +252,12 @@ def _grid_times(t_max: float, dt: float) -> np.ndarray:
         raise ValueError("dt must be > 0")
     if not t_max >= 0:
         raise ValueError("t_max must be >= 0")
-    span = (t_max - 1e-12 * max(t_max, 1.0)) / dt
-    if span + 1 > MAX_SAMPLES:
+    if t_max / dt + 1 > MAX_SAMPLES:
         raise DomainError(
-            f"t_max={t_max:g} with dt={dt:g} needs about {span + 1:.3g} samples; "
+            f"t_max={t_max:g} with dt={dt:g} needs about {t_max / dt + 1:.3g} samples; "
             f"the limit is {MAX_SAMPLES}"
         )
-    n_steps = max(math.ceil(span), 0)
+    n_steps, _ = matkit.step_count(0.0, t_max, dt)
     if n_steps == 0:
         return np.zeros(1)
     return np.append(np.arange(n_steps) * dt, t_max)
@@ -278,22 +266,13 @@ def _grid_times(t_max: float, dt: float) -> np.ndarray:
 def _checked_samples(raw: np.ndarray) -> np.ndarray:
     """The checks of Covariance.__post_init__, batched over an (N, m, m)
     stack of unsymmetrized samples: raise for the first sample that is not
-    finite or not Hermitian to HERMITICITY_RTOL, with the constructor's
-    message, else return the Hermitian parts, bit for bit the constructor's."""
-    raw_h = raw.conj().transpose(0, 2, 1)
+    finite or not Hermitian, with the constructor's message, else return the
+    Hermitian parts, bit for bit the constructor's."""
     finite = np.isfinite(raw).all(axis=(1, 2))
-    scale = np.abs(raw).max(axis=(1, 2))
-    defect = np.abs(raw - raw_h).max(axis=(1, 2))
-    bad = ~finite | (defect > matkit.HERMITICITY_RTOL * np.maximum(scale, 1e-300))
-    if bad.any():
-        k = int(np.argmax(bad))
-        if not finite[k]:
-            raise ValueError("matrix entries must be finite")
-        raise NotHermitian(
-            f"symmetrization residual {defect[k]:.3e} exceeds "
-            f"{matkit.HERMITICITY_RTOL:.1e} * max|entry| = {matkit.HERMITICITY_RTOL * scale[k]:.3e}"
-        )
-    return 0.5 * (raw + raw_h)
+    if not finite.all():
+        matkit.require_hermitian(raw[: np.argmin(finite)])  # an earlier defect first
+        raise ValueError("matrix entries must be finite")
+    return matkit.require_hermitian(raw)
 
 
 def propagate_steps(
@@ -322,10 +301,12 @@ def propagate_steps(
     raw = np.empty((len(times), 2 * n, 2 * n), dtype=complex)
     raw[0] = v = v0.v
     e_step, f_step = _propagator_pieces(gen, dt)
+    # the index of a shorter last step, 0 when dt divides t_max: decided
+    # once, with the step rule of _grid_times, outside the loop
+    short = 0 if matkit.step_count(0.0, t_max, dt)[1] else len(times) - 1
     for k in range(1, len(times)):
-        step = times[k] - times[k - 1] if k == len(times) - 1 else dt
-        if abs(step - dt) > 1e-12 * max(dt, 1.0):
-            e_step, f_step = _propagator_pieces(gen, step)
+        if k == short:
+            e_step, f_step = _propagator_pieces(gen, times[k] - times[k - 1])
         raw[k] = e_step.conj().T @ v @ e_step + f_step
         v = 0.5 * (raw[k] + raw[k].conj().T)
     vs = _checked_samples(raw)
@@ -333,7 +314,7 @@ def propagate_steps(
 
     spectra = _spectrum(vs + _half_sigma(n))
     if certified:
-        ok = spectra[:, 0] >= _boundary_cut(spectra, _SAMPLE_PHYSICALITY_TOL)
+        ok = spectra[:, 0] >= -matkit.cut(spectra, matkit.SAMPLE_TOL)
         if not ok.all():
             first = int(np.argmin(ok))
             raise NonPhysicalInput(
@@ -347,15 +328,17 @@ def propagate_steps(
 def steady_state(bath: BathSpec) -> Covariance:
     """Unique stationary covariance A^dag V + V A + B = 0 of a CP bath whose
     drift is strictly stable.  Raises Unstable when any drift eigenvalue has
-    real part >= -1e-12 (no, or no unique, equilibrium)."""
+    real part >= -matkit.ROUNDOFF * ||A||_2, zero at the drift's own scale
+    (no, or no unique, equilibrium: a marginal mode is not regularized)."""
     ok, min_c = check_cp(bath)
     if not ok:
         raise NotCP(f"Kossakowski matrix has negative eigenvalue {min_c:.3e}")
     gen = drift_diffusion(bath)
     re_max = gen.max_re_eig
-    if re_max >= -STABILITY_TOL:
+    margin = matkit.ROUNDOFF * gen.norm
+    if re_max >= -margin:
         raise Unstable(
-            f"drift has eigenvalue with Re = {re_max:.3e} >= -{STABILITY_TOL:.0e}; "
+            f"drift has eigenvalue with Re = {re_max:.3e} >= -{margin:.3e}; "
             "no unique asymptotic state"
         )
     x = matkit.solve_sylvester(gen.a.conj().T, gen.a, gen.b)

@@ -33,7 +33,6 @@ from .gaussian_state import (
     Covariance,
     _T,
     _TT,
-    _boundary_cut,
     _lock,
     _pt_matrix,
     collective_covariance,
@@ -41,10 +40,8 @@ from .gaussian_state import (
     sigma_matrix,
 )
 
-# Verdict tolerance: PT eigenvalues above -ENT_TOL (or the scale-relative
-# roundoff cut, when larger: see pt_margin) are treated as compatible with
-# separability so that boundary states are not misreported as entangled.
-ENT_TOL = 1e-10
+# The default floor of the PT verdicts (the CLI's --tol): see pt_margin.
+ENT_TOL = matkit.VERDICT_TOL
 
 _SIGMA_T = _lock(sigma_matrix(2)[_TT])  # T Sigma T
 
@@ -57,10 +54,11 @@ def pt_spectrum(cov: Covariance) -> np.ndarray:
 
 def pt_margin(w: np.ndarray, tol: float = ENT_TOL) -> float:
     """Half-width of the separability boundary for the ascending PT spectrum
-    w: the scale-relative max(tol, c eps max|w|) of the physicality test, so
-    the roundoff of a strongly squeezed product state does not read as
-    entanglement.  A minimum eigenvalue within +-margin is on the boundary."""
-    return -float(_boundary_cut(w, tol))
+    w: matkit.cut(w, tol), as in the physicality test, so boundary states
+    are not misreported as entangled, nor is the roundoff of a strongly
+    squeezed product state.  A minimum eigenvalue within +-margin is on the
+    boundary."""
+    return float(matkit.cut(w, tol))
 
 
 def pt_entangled(w: np.ndarray, tol: float = ENT_TOL) -> bool:
@@ -88,15 +86,16 @@ def ppt_test(cov: Covariance, tol: float = ENT_TOL) -> tuple[bool, float]:
     return pt_entangled(w, tol), float(w[0])
 
 
-def initial_null_basis(cov: Covariance, tol: float = matkit.NULL_SPACE_RTOL) -> np.ndarray:
-    """Orthonormal basis of the null space of V~(0) + Sigma/2.
+def initial_null_basis(cov: Covariance) -> np.ndarray:
+    """Orthonormal basis of the null space of V~(0) + Sigma/2, under the
+    roundoff cut of matkit.null_space.
 
     Separable states on the PT boundary (vacua, pure products, and the
     collective mixed states with beta_0 = 1) have a nontrivial null space;
     strictly interior states do not, and then the witness construction is
     inapplicable (fall back to ppt_test along the trajectory).
     """
-    basis = matkit.null_space(_pt_matrix(cov.v), tol=tol)
+    basis = matkit.null_space(_pt_matrix(cov.v))
     if basis.shape[1] == 0:
         raise EmptyNullSpace(
             "V~(0) + Sigma/2 has no null vector; the derivative witness does not apply"
@@ -133,7 +132,6 @@ def generation_witness(
     bath: BathSpec,
     psi,
     *,
-    null_residual_tol: float = 1e-8,
     allow_non_cp: bool = False,
 ) -> WitnessReport:
     """Evaluate the entanglement-generation condition for the vector psi.
@@ -147,7 +145,8 @@ def generation_witness(
 
         dQ/dt(0) = <psi~| A^dag V(0) + V(0) A + B |psi~>,
 
-    which equals (lhs - rhs)/2 because psi annihilates V~(0) + Sigma/2.
+    which equals (lhs - rhs)/2 because psi annihilates V~(0) + Sigma/2, to
+    matkit.NULL_RESIDUAL_RTOL relative to its norm, max|v0.pt_spectrum|.
     """
     m0 = _pt_matrix(v0.v)
     if not allow_non_cp:
@@ -160,9 +159,9 @@ def generation_witness(
         raise NotNullVector("psi must be nonzero")
     psi = psi / norm
 
-    m_norm = float(np.linalg.norm(m0, ord=2))
+    m_norm = float(np.abs(pt_spectrum(v0)).max())
     residual = float(np.linalg.norm(m0 @ psi))
-    if residual > null_residual_tol * max(m_norm, 1.0):
+    if residual > matkit.NULL_RESIDUAL_RTOL * max(m_norm, 1.0):
         raise NotNullVector(
             f"psi is not a null vector of V~(0) + Sigma/2 (residual {residual:.3e})"
         )

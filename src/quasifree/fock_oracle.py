@@ -23,10 +23,9 @@ and evolve_rho is its one-sample case.
 
 A hard-truncated Fock space cannot hold a Gaussian state exactly, so results
 are only trusted while the population of the top number level stays below
-TRUNCATION_TOL.
+matkit.TRUNCATION_TOL.
 """
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -43,8 +42,6 @@ from .errors import (
 )
 from .gaussian_state import CovarianceBlocks
 
-TRUNCATION_TOL = 1e-4
-TRACE_TOL = 1e-8
 DEFAULT_DT = 1e-3
 
 
@@ -102,9 +99,9 @@ class FockState:
         if r.shape[0] != q * q:
             raise ValueError(f"rho must be {q * q}x{q * q} for cutoff {self.cutoff}, got {r.shape}")
         trace = complex(np.trace(r))
-        if abs(trace - 1.0) > 1e-10:
+        if abs(trace - 1.0) > matkit.TRACE_TOL:
             raise ValueError(f"rho must have unit trace, got {trace}")
-        r = matkit.require_hermitian(r, rtol=1e-10)
+        r = matkit.require_hermitian(r)
         even, odd = parity_sectors(self.cutoff)
         if np.any(r[np.ix_(even, odd)]) or np.any(r[np.ix_(odd, even)]):
             raise ValueError(
@@ -207,11 +204,11 @@ class LindbladGenerator:
 
         c = kossakowski(bath)
         w, u = matkit.hermitian_eigensystem(c)
-        scale = float(np.abs(w).max(initial=0.0))
+        zero = matkit.cut(w)
         rates = []
         jumps = []
         for k in range(4):
-            if scale == 0.0 or abs(w[k]) <= 1e-14 * scale:
+            if abs(w[k]) <= zero:
                 continue
             rates.append(float(w[k]))
             jumps.append(sum(np.conj(u[nu, k]) * ladder[nu] for nu in range(4)))
@@ -266,17 +263,18 @@ def evolve_trajectory(
     master equation once along the whole trajectory with one generator.
 
     times must be non-negative and non-decreasing.  An interval of length
-    tau takes ceil(tau/dt - 1e-9) fixed fourth-order steps of min(dt, what
-    remains) on the two parity blocks of rho, and continues from the previous
-    sample, trace-normalized as it was yielded.
+    tau ending at time t takes matkit.step_count(t - tau, t, dt) fixed
+    fourth-order steps of min(dt, what remains) on the two parity blocks of
+    rho, and continues from the previous sample, trace-normalized as it was
+    yielded.
 
     Hermiticity is enforced by symmetrization after every step; the trace is
     checked at each sample (the generator is trace-free, so drift beyond
     roundoff signals an integrator failure), and so is positivity: an
-    eigenvalue below -TRUNCATION_TOL raises NumericalFailure.  Raises
+    eigenvalue below -matkit.TRUNCATION_TOL raises NumericalFailure.  Raises
     TruncationLeak when the top number level accumulates more than
-    TRUNCATION_TOL population.  Either error ends the trajectory after the
-    samples before it have been yielded.
+    matkit.TRUNCATION_TOL population.  Either error ends the trajectory after
+    the samples before it have been yielded.
     """
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
@@ -293,8 +291,8 @@ def evolve_trajectory(
         rho = split_parity(state.rho, cutoff)
         remaining = t - t_prev
         # The step count is fixed up front, so roundoff in remaining never
-        # adds a step; what it leaves over is below 1e-9 dt.
-        for _ in range(math.ceil(remaining / dt - 1e-9)):
+        # adds a step; what it leaves over is roundoff at the scale of t.
+        for _ in range(matkit.step_count(t_prev, t, dt)[0]):
             step = min(dt, remaining)
             k1 = gen.apply(rho)
             k2 = gen.apply([r + 0.5 * step * k for r, k in zip(rho, k1)])
@@ -309,23 +307,23 @@ def evolve_trajectory(
         t_prev = t
         full = join_parity(rho, cutoff)
         trace = complex(np.trace(full))
-        if abs(trace - 1.0) > TRACE_TOL:
+        if abs(trace - 1.0) > matkit.TRACE_TOL:
             raise NumericalFailure(f"trace drifted to {trace}")
         # The truncated generator is itself of Lindblad form, so for a CP bath
         # only the integrator can move population to where a physical state has
         # none; the same bound as the truncation leak decides when to stop.
         min_eig = min(float(np.linalg.eigvalsh(r)[0]) for r in rho)
-        if min_eig < -TRUNCATION_TOL:
+        if min_eig < -matkit.TRUNCATION_TOL:
             raise NumericalFailure(
-                f"integrated density matrix has eigenvalue {min_eig:.3e} < -{TRUNCATION_TOL:.0e}; "
+                f"integrated density matrix has eigenvalue {min_eig:.3e} < -{matkit.TRUNCATION_TOL:.0e}; "
                 f"the step dt={dt:g} is unstable for this generator, or the bath is not "
                 "completely positive"
             )
         state = FockState(full / trace.real, cutoff)
         leak = top_level_population(state)
-        if leak > TRUNCATION_TOL:
+        if leak > matkit.TRUNCATION_TOL:
             raise TruncationLeak(
-                f"top number level holds {leak:.3e} > {TRUNCATION_TOL:.0e}; "
+                f"top number level holds {leak:.3e} > {matkit.TRUNCATION_TOL:.0e}; "
                 "increase the cutoff or shorten the evolution"
             )
         yield state

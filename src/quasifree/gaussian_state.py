@@ -23,19 +23,6 @@ import numpy as np
 from . import matkit
 from .errors import NegativeOccupation, NotNormalizable, WrongModeCount
 
-# Eigenvalue tolerance for the physicality test.  Pure states sit exactly on
-# the boundary of V + Sigma/2 >= 0, so the test must admit tiny negative
-# roundoff rather than demand strict positivity.
-PHYSICALITY_TOL = 1e-10
-
-# Boundary cuts scale with the spectrum: an eigenvalue w counts as zero when
-# w >= -max(tol, ROUNDOFF_FACTOR * eps * max|w|), the backward-error size of
-# a Hermitian eigensolve.  Below max|w| ~ 2.8e4 the absolute tol decides, so
-# the cut only moves for strongly squeezed states, whose boundary eigenvalue
-# carries roundoff of order eps * ||V||.
-ROUNDOFF_FACTOR = 16.0
-_ROUNDOFF = ROUNDOFF_FACTOR * np.finfo(float).eps
-
 
 def sigma_matrix(n: int) -> np.ndarray:
     """Commutator matrix diag(+1, ..., +1, -1, ..., -1) for n modes."""
@@ -52,12 +39,6 @@ def _lock(a: np.ndarray) -> np.ndarray:
 def _half_sigma(n: int) -> np.ndarray:
     """Read-only Sigma/2 for n modes, built once per n."""
     return _lock(0.5 * sigma_matrix(n))
-
-
-def _boundary_cut(w: np.ndarray, tol: float) -> np.ndarray:
-    """The cut -max(tol, ROUNDOFF_FACTOR * eps * max|w|) for the ascending
-    spectrum w, or for each row of a stack of spectra."""
-    return -np.maximum(tol, _ROUNDOFF * np.abs(w).max(axis=-1))
 
 
 # The permutation T exchanging entries 0 and 2 of the two-mode ordering
@@ -148,13 +129,13 @@ class CovarianceBlocks:
         b = matkit.require_square(matkit.as_matrix(self.beta))
         if a.shape != b.shape:
             raise ValueError(f"alpha and beta must have equal shape, got {a.shape} vs {b.shape}")
-        scale = max(float(np.abs(a).max(initial=0.0)), 1e-300)
-        if float(np.abs(a - a.T).max(initial=0.0)) > 1e-10 * scale:
+        scale = float(np.abs(a).max(initial=0.0))
+        if float(np.abs(a - a.T).max(initial=0.0)) > matkit.HERMITICITY_RTOL * scale:
             raise ValueError("alpha block must be symmetric")
-        b = matkit.require_hermitian(b, rtol=1e-10)
+        b = matkit.require_hermitian(b)
         w, _ = matkit.hermitian_eigensystem(b)
         # beta is a Gram-type moment matrix; tolerate only roundoff-level dips
-        if w[0] < -1e-8 * max(1.0, float(np.abs(w).max())):
+        if w[0] < -matkit.cut(w):
             raise ValueError(f"beta block must be positive semidefinite, min eigenvalue {w[0]:.3e}")
         object.__setattr__(self, "alpha", _lock(0.5 * (a + a.T)))
         object.__setattr__(self, "beta", _lock(b))
@@ -227,8 +208,9 @@ def collective_covariance(alpha_sym: complex, beta_sym: float, beta_anti: float)
     return from_blocks(alpha, beta)
 
 
-def is_physical(cov: Covariance, tol: float = PHYSICALITY_TOL) -> tuple[bool, float]:
-    """Test V + Sigma/2 >= 0 up to the scale-relative _boundary_cut; returns
-    the verdict and the minimum eigenvalue, read from cov.spectrum."""
+def is_physical(cov: Covariance, tol: float = matkit.VERDICT_TOL) -> tuple[bool, float]:
+    """Test V + Sigma/2 >= 0 up to matkit.cut(w, tol), which admits the
+    roundoff of a pure state on the boundary; returns the verdict and the
+    minimum eigenvalue, read from cov.spectrum."""
     w = cov.spectrum
-    return bool(w[0] >= _boundary_cut(w, tol)), float(w[0])
+    return bool(w[0] >= -matkit.cut(w, tol)), float(w[0])
