@@ -5,9 +5,16 @@ are deterministic (identical config bytes give identical output bytes) and
 never leave partial output files behind: CSV files are written to a
 temporary sibling and renamed on success.
 
-Exit codes:
+Flags: --config (every verb); --output (evolve, sweep); --tol (evolve,
+steady, sweep, oracle-compare); --allow-non-cp (evolve, witness, steady,
+oracle-compare, the verbs that act on the bath: without it they refuse a
+non-CP bath before any output); --param, --range (sweep); --cutoff,
+--oracle-dt (oracle-compare).
+
+Exit codes, of a verdict or, through the table _OUTCOMES, of the error that
+ended the verb; 2 to 6 state their outcome on stdout:
     0  success / positive verdict
-    1  usage or configuration error
+    1  usage or configuration error (one "error: ..." line on stderr)
     2  bath not completely positive
     3  negative verdict (no generation / separable)
     4  witness inapplicable (no null vector)
@@ -16,21 +23,18 @@ Exit codes:
 """
 
 import argparse
+import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import fock_oracle, matkit
-from .config import RunConfig, build_initial_covariance, load_config, parse_complex
-from .dynamics import (
-    check_cp,
-    collective_bath,
-    collective_steady_moments,
-    propagate_steps,
-)
+from .config import RunConfig, build_initial_covariance, load_config, squeezing
+from .dynamics import check_cp, collective_bath, collective_steady_moments, propagate_steps
 from .entanglement import (
     ENT_TOL,
     asymptotic_covariance,
@@ -44,16 +48,7 @@ from .entanglement import (
     scan_generation_witness,
     symmetric_null_vector,
 )
-from .errors import (
-    ConfigError,
-    EmptyNullSpace,
-    NotCP,
-    NumericalFailure,
-    QuasifreeError,
-    TruncationLeak,
-    UnknownParam,
-    Unstable,
-)
+from .errors import ConfigError, EmptyNullSpace, NotCP, OracleFailure, QuasifreeError, TruncationLeak, Unstable
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,13 +58,17 @@ EXIT_NO_WITNESS = 4
 EXIT_UNSTABLE = 5
 EXIT_ORACLE = 6
 
-# Exit code of an error that escapes a verb: the first entry that matches.
-_EXIT_CODES = (
-    (NotCP, EXIT_NOT_CP),
-    (EmptyNullSpace, EXIT_NO_WITNESS),
-    (Unstable, EXIT_UNSTABLE),
-    (TruncationLeak, EXIT_ORACLE),
-    ((QuasifreeError, OSError), EXIT_USAGE),
+# What an error that ends a verb returns and prints: the first row whose
+# class matches gives the exit code and the line, printed on stderr for
+# EXIT_USAGE and on stdout for an outcome.
+_OUTCOMES = (
+    (NotCP, EXIT_NOT_CP, "bath is not completely positive: {}"),
+    (EmptyNullSpace, EXIT_NO_WITNESS, "the initial state has no null vector of V~(0) + Sigma/2;\n"
+     "the derivative witness does not apply -- track the evolution with 'evolve' instead"),
+    (Unstable, EXIT_UNSTABLE, "no unique asymptotic state: {}"),
+    (TruncationLeak, EXIT_ORACLE, "truncation leak: {}"),
+    (OracleFailure, EXIT_ORACLE, "oracle integration failed: {}; retry with a smaller --oracle-dt"),
+    ((QuasifreeError, OSError), EXIT_USAGE, "error: {}"),
 )
 
 _SWEEP_PARAMS = ("lambda_abs", "eta", "sigma", "omega")
@@ -97,9 +96,16 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _load(args) -> RunConfig:
+    """The run configuration.  A verb that takes --allow-non-cp acts on the
+    bath, and refuses a non-CP one here, unless the flag or the config allows it."""
     cfg = load_config(args.config)
-    if getattr(args, "allow_non_cp", False):
-        cfg = RunConfig(**{**cfg.__dict__, "allow_non_cp": True})
+    if not hasattr(args, "allow_non_cp"):
+        return cfg
+    if args.allow_non_cp:
+        cfg = replace(cfg, allow_non_cp=True)
+    ok, min_eig = check_cp(cfg.bath)
+    if not (ok or cfg.allow_non_cp):
+        raise NotCP(f"min Kossakowski eigenvalue {_fmt(min_eig)}; pass --allow-non-cp to go on anyway")
     return cfg
 
 
@@ -116,7 +122,6 @@ def cmd_evolve(args) -> int:
     if cfg.modes != 2:
         raise ConfigError("evolve writes the two-mode schema; set modes = 2")
     v0 = build_initial_covariance(cfg)
-    tol = args.tol if args.tol is not None else ENT_TOL
     trajectory = propagate_steps(v0, cfg.bath, cfg.t_max, cfg.dt, allow_non_cp=cfg.allow_non_cp)
     if not trajectory.cp_certified:
         print("warning: bath is not completely positive; output not certified", file=sys.stderr)
@@ -134,7 +139,7 @@ def cmd_evolve(args) -> int:
         row = [_fmt(t)]
         row += [_fmt(x) for x in state.v.real.reshape(-1)]
         row += [_fmt(x) for x in state.v.imag.reshape(-1)]
-        row += [_fmt(w[0]), "true" if pt_entangled(w, tol) else "false"]
+        row += [_fmt(w[0]), "true" if pt_entangled(w, args.tol) else "false"]
         lines.append(",".join(row))
     _write_atomic(args.output, "\n".join(lines) + "\n")
     print(f"wrote {len(trajectory.times)} samples to {args.output}")
@@ -146,25 +151,14 @@ def cmd_witness(args) -> int:
     if cfg.modes != 2:
         raise ConfigError("the witness is defined for 2 modes")
     v0 = build_initial_covariance(cfg)
-    try:
-        basis = initial_null_basis(v0)
-    except EmptyNullSpace:
-        print("the initial state has no null vector of V~(0) + Sigma/2;")
-        print("the derivative witness does not apply -- track the evolution with 'evolve' instead")
-        return EXIT_NO_WITNESS
-
+    basis = initial_null_basis(v0)
     print("null-space basis (columns):")
     for row in basis:
         print("  " + "  ".join(_fmt_c(z) for z in row))
 
     reports = []
     if cfg.initial_kind in ("vacuum", "pure"):
-        if cfg.initial_kind == "pure":
-            omega1 = parse_complex(cfg.initial_params.get("omega1", 0.0))
-            omega2 = parse_complex(cfg.initial_params.get("omega2", 0.0))
-        else:
-            omega1 = omega2 = 0.0
-        psi_sym = symmetric_null_vector(omega1, omega2)
+        psi_sym = symmetric_null_vector(*squeezing(cfg))
         reports.append(("symmetric", generation_witness(v0, cfg.bath, psi_sym, allow_non_cp=cfg.allow_non_cp)))
     reports.append(("scan", scan_generation_witness(v0, cfg.bath, allow_non_cp=cfg.allow_non_cp)))
 
@@ -181,14 +175,8 @@ def cmd_steady(args) -> int:
     if cfg.collective is None:
         raise ConfigError("'steady' needs the collective bath form (bath.collective)")
     p = cfg.collective
-    tol = args.tol if args.tol is not None else ENT_TOL
-    try:
-        alpha_inf, beta_inf = collective_steady_moments(p.eta, p.sigma, p.omega, p.lam)
-        lam_sq_min, cp_max, feasible = asymptotic_threshold(p.eta, p.sigma, p.omega)
-    except QuasifreeError as exc:
-        print(f"no unique asymptotic state: {exc}")
-        return EXIT_UNSTABLE
-
+    alpha_inf, beta_inf = collective_steady_moments(p.eta, p.sigma, p.omega, p.lam)
+    lam_sq_min, cp_max, feasible = asymptotic_threshold(p.eta, p.sigma, p.omega)
     v_inf = asymptotic_covariance(alpha_inf, beta_inf)
     print(f"alpha_inf = {_fmt_c(alpha_inf)}")
     print(f"beta_inf = {_fmt(beta_inf)}")
@@ -199,8 +187,8 @@ def cmd_steady(args) -> int:
     print("asymptotic PT spectrum: " + "  ".join(_fmt(x) for x in spectrum))
     print(f"threshold |lambda|^2 > {_fmt(lam_sq_min)} (CP bound {_fmt(cp_max)}, window {'open' if feasible else 'empty'})")
     print(f"|lambda|^2 = {_fmt(abs(p.lam) ** 2)}")
-    entangled = pt_entangled(spectrum, tol)
-    if abs(spectrum[0]) <= pt_margin(spectrum, tol):
+    entangled = pt_entangled(spectrum, args.tol)
+    if abs(spectrum[0]) <= pt_margin(spectrum, args.tol):
         # too close to the separability boundary for a firm claim
         print("asymptotically entangled: boundary/indeterminate")
     else:
@@ -225,11 +213,8 @@ def cmd_sweep(args) -> int:
     cfg = _load(args)
     if cfg.collective is None:
         raise ConfigError("'sweep' needs the collective bath form (bath.collective)")
-    if args.param not in _SWEEP_PARAMS:
-        raise UnknownParam(f"param must be one of {_SWEEP_PARAMS}, got {args.param!r}")
     base = cfg.collective
     values = _sweep_values(args.range)
-    tol = args.tol if args.tol is not None else ENT_TOL
 
     lines = ["param_value,cp_ok,dq0,steady_min_pt_eig,steady_entangled"]
     for value in values:
@@ -247,7 +232,7 @@ def cmd_sweep(args) -> int:
         bath = collective_bath(eta, sigma, omega, lam)
         cp_ok = check_cp(bath)[0]
 
-        cfg_point = RunConfig(**{**cfg.__dict__, "bath": bath})
+        cfg_point = replace(cfg, bath=bath)
         try:
             v0 = build_initial_covariance(cfg_point)
             dq0 = scan_generation_witness(v0, bath, allow_non_cp=True).q_derivative
@@ -257,7 +242,7 @@ def cmd_sweep(args) -> int:
         if eta > sigma:
             alpha_inf, beta_inf = collective_steady_moments(eta, sigma, omega, lam)
             spectrum = asymptotic_pt_eigenvalues(alpha_inf, beta_inf)
-            min_pt, entangled = float(spectrum[0]), pt_entangled(spectrum, tol)
+            min_pt, entangled = float(spectrum[0]), pt_entangled(spectrum, args.tol)
         else:
             min_pt, entangled = float("nan"), False
         lines.append(
@@ -280,20 +265,11 @@ def cmd_oracle_compare(args) -> int:
     cfg = _load(args)
     if cfg.modes != 2:
         raise ConfigError("the oracle is built for 2 modes")
-    ok, min_eig = check_cp(cfg.bath)
-    if not ok and not cfg.allow_non_cp:
-        print(f"bath is not completely positive (min eigenvalue {_fmt(min_eig)})")
-        return EXIT_NOT_CP
-
     v0 = build_initial_covariance(cfg)
     if cfg.initial_kind == "vacuum":
         rho = fock_oracle.vacuum_state(args.cutoff)
     elif cfg.initial_kind == "pure":
-        rho = fock_oracle.pure_product_state(
-            parse_complex(cfg.initial_params.get("omega1", 0.0)),
-            parse_complex(cfg.initial_params.get("omega2", 0.0)),
-            args.cutoff,
-        )
+        rho = fock_oracle.pure_product_state(*squeezing(cfg), args.cutoff)
     elif cfg.initial_kind == "thermal":
         rho = fock_oracle.thermal_state(
             [float(x) for x in cfg.initial_params["occupations"]], args.cutoff
@@ -301,7 +277,6 @@ def cmd_oracle_compare(args) -> int:
     else:
         raise ConfigError(f"oracle comparison supports vacuum/pure/thermal initial states, not {cfg.initial_kind!r}")
 
-    tol = args.tol if args.tol is not None else ENT_TOL
     trajectory = propagate_steps(v0, cfg.bath, cfg.t_max, cfg.dt, allow_non_cp=cfg.allow_non_cp)
 
     max_dev = 0.0
@@ -309,24 +284,17 @@ def cmd_oracle_compare(args) -> int:
     # One oracle trajectory over the covariance sample times: the generator
     # is built once and each sample continues from the one before it.
     oracle = fock_oracle.evolve_trajectory(rho, cfg.bath, trajectory.times[1:], dt=args.oracle_dt)
-    try:
-        for rho, state in zip(oracle, trajectory.states[1:]):
-            blocks = fock_oracle.extract_moments(rho)
-            dev = max(
-                float(np.abs(blocks.alpha - state.alpha).max()),
-                float(np.abs(blocks.beta - state.beta).max()),
-            )
-            max_dev = max(max_dev, dev)
-            neg = fock_oracle.negativity(rho)
-            gauss_entangled = pt_entangled(pt_spectrum(state), tol)
-            if gauss_entangled != (neg > matkit.NEGATIVITY_TOL):
-                disagreements += 1
-    except TruncationLeak as exc:
-        print(f"truncation leak: {exc}")
-        return EXIT_ORACLE
-    except NumericalFailure as exc:
-        print(f"oracle integration failed: {exc}; retry with a smaller --oracle-dt")
-        return EXIT_ORACLE
+    for rho, state in zip(oracle, trajectory.states[1:]):
+        blocks = fock_oracle.extract_moments(rho)
+        dev = max(
+            float(np.abs(blocks.alpha - state.alpha).max()),
+            float(np.abs(blocks.beta - state.beta).max()),
+        )
+        max_dev = max(max_dev, dev)
+        neg = fock_oracle.negativity(rho)
+        gauss_entangled = pt_entangled(pt_spectrum(state), args.tol)
+        if gauss_entangled != (neg > matkit.NEGATIVITY_TOL):
+            disagreements += 1
 
     print(f"max absolute moment deviation: {_fmt(max_dev)}")
     print(f"verdict disagreements: {disagreements} of {len(trajectory.times) - 1}")
@@ -335,62 +303,71 @@ def cmd_oracle_compare(args) -> int:
     return EXIT_ORACLE
 
 
+def _finite(positive: bool):
+    """The argparse type of a float flag: finite, and > 0 when positive, else >= 0."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+            raise argparse.ArgumentTypeError(f"must be a finite number {'>' if positive else '>='} 0, got {text!r}")
+        return value
+
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises ConfigError for a bad command line, for
+    main's table to report like any other usage error, instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quasifree",
         description="Gaussian bath dynamics and partial-transpose entanglement tests",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=False):
+    def verb(name, func, help, *, bath=False, tol=False, output=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="path to a JSON run configuration")
-        p.add_argument("--allow-non-cp", action="store_true", help="propagate even if the bath is not CP")
-        p.add_argument("--tol", type=float, default=None, help="verdict tolerance override")
+        if bath:
+            p.add_argument("--allow-non-cp", action="store_true", help="go on even if the bath is not CP")
+        if tol:
+            p.add_argument("--tol", type=_finite(positive=False), default=ENT_TOL, help="entanglement verdict floor")
         if output:
             p.add_argument("--output", required=True, help="CSV output path")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("check-cp", help="test complete positivity of the bath")
-    common(p)
-    p.set_defaults(func=cmd_check_cp)
-
-    p = sub.add_parser("evolve", help="propagate the covariance and write a CSV trajectory")
-    common(p, output=True)
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("witness", help="evaluate the entanglement-generation witness at t=0")
-    common(p)
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("steady", help="asymptotic state of the collective bath scenario")
-    common(p)
-    p.set_defaults(func=cmd_steady)
-
-    p = sub.add_parser("sweep", help="scan one collective-bath parameter and write a CSV")
-    common(p, output=True)
-    p.add_argument("--param", required=True, help=f"one of {_SWEEP_PARAMS}")
+    verb("check-cp", cmd_check_cp, "test complete positivity of the bath")
+    verb("evolve", cmd_evolve, "propagate the covariance and write a CSV trajectory", bath=True, tol=True, output=True)
+    verb("witness", cmd_witness, "evaluate the entanglement-generation witness at t=0", bath=True)
+    verb("steady", cmd_steady, "asymptotic state of the collective bath scenario", bath=True, tol=True)
+    p = verb("sweep", cmd_sweep, "scan one collective-bath parameter and write a CSV", tol=True, output=True)
+    p.add_argument("--param", required=True, choices=_SWEEP_PARAMS, help="the parameter to scan")
     p.add_argument("--range", required=True, help="start:stop:count")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("oracle-compare", help="compare the covariance flow against the Fock oracle")
-    common(p)
+    p = verb("oracle-compare", cmd_oracle_compare, "compare the covariance flow with the Fock oracle", bath=True, tol=True)
     p.add_argument("--cutoff", type=int, default=15, help="per-mode Fock cutoff")
-    p.add_argument("--oracle-dt", type=float, default=fock_oracle.DEFAULT_DT, help="oracle integrator step")
-    p.set_defaults(func=cmd_oracle_compare)
-
+    p.add_argument("--oracle-dt", type=_finite(positive=True), default=fock_oracle.DEFAULT_DT, help="oracle step")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code: its verdict's, or the one
+    _OUTCOMES gives the error that ended it."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (QuasifreeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+        code, line = next((code, line) for kind, code, line in _OUTCOMES if isinstance(exc, kind))
+        print(line.format(exc), file=sys.stderr if code == EXIT_USAGE else sys.stdout)
+        return code
 
 
 def entry_point() -> None:

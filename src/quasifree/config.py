@@ -9,6 +9,7 @@ forms require).  See the repository configs/ directory for worked examples.
 """
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,14 +49,28 @@ class RunConfig:
     allow_non_cp: bool
 
 
-def parse_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(
-        isinstance(x, (int, float)) for x in value
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(f"expected a number or [re, im] pair, got {value!r}")
+def _number(value, name: str) -> float:
+    """A config number as a float: a JSON integer or float in the float
+    range.  A bool, a string, a list, null or a non-finite value is refused
+    (load_config's JSON hooks already refuse NaN, Infinity and 1e400)."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def _json_number(text: str) -> float:
+    """The JSON hook for floats, NaN and +-Infinity: only finite values pass."""
+    value = float(text)
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"config numbers must be finite, got {text}")
+    return value
+
+
+def parse_complex(value, name: str = "value") -> complex:
+    """A config complex: a finite number, or an [re, im] pair of them."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(_number(value[0], name), _number(value[1], name))
+    return complex(_number(value, name))
 
 
 def parse_matrix(rows, n: int, name: str) -> np.ndarray:
@@ -66,7 +81,7 @@ def parse_matrix(rows, n: int, name: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != n:
             raise ConfigError(f"{name} row {i} must have {n} entries")
         for j, entry in enumerate(row):
-            out[i, j] = parse_complex(entry)
+            out[i, j] = parse_complex(entry, f"{name}[{i}][{j}]")
     return out
 
 
@@ -79,10 +94,10 @@ def _parse_bath(section, modes: int) -> tuple[BathSpec, "CollectiveParams | None
             raise ConfigError("bath.collective must be an object")
         try:
             params = CollectiveParams(
-                eta=float(raw["eta"]),
-                sigma=float(raw["sigma"]),
-                omega=float(raw.get("omega", 0.0)),
-                lam=parse_complex(raw.get("lambda", 0.0)),
+                eta=_number(raw["eta"], "bath.collective.eta"),
+                sigma=_number(raw["sigma"], "bath.collective.sigma"),
+                omega=_number(raw.get("omega", 0.0), "bath.collective.omega"),
+                lam=parse_complex(raw.get("lambda", 0.0), "bath.collective.lambda"),
             )
         except KeyError as exc:
             raise ConfigError(f"bath.collective is missing {exc}") from exc
@@ -110,14 +125,14 @@ def load_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_json_number, parse_constant=_json_number)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
 
     modes = doc.get("modes", 2)
-    if not isinstance(modes, int) or modes < 1:
+    if isinstance(modes, bool) or not isinstance(modes, int) or modes < 1:
         raise ConfigError(f"modes must be a positive integer, got {modes!r}")
     if "bath" not in doc:
         raise ConfigError("config is missing the bath section")
@@ -133,14 +148,17 @@ def load_config(path) -> RunConfig:
     time = doc.get("time", {})
     if not isinstance(time, dict):
         raise ConfigError("time section must be an object")
-    t_max = float(time.get("t_max", 1.0))
-    dt = float(time.get("dt", 0.05))
+    t_max = _number(time.get("t_max", 1.0), "time.t_max")
+    dt = _number(time.get("dt", 0.05), "time.dt")
     if t_max < 0 or dt <= 0:
         raise ConfigError(f"need t_max >= 0 and dt > 0, got t_max={t_max}, dt={dt}")
 
     flags = doc.get("flags", {})
     if not isinstance(flags, dict):
         raise ConfigError("flags section must be an object")
+    allow_non_cp = flags.get("allow_non_cp", False)
+    if not isinstance(allow_non_cp, bool):
+        raise ConfigError(f"flags.allow_non_cp must be true or false, got {allow_non_cp!r}")
 
     return RunConfig(
         modes=modes,
@@ -150,8 +168,16 @@ def load_config(path) -> RunConfig:
         initial_params={k: v for k, v in state.items() if k != "kind"},
         t_max=t_max,
         dt=dt,
-        allow_non_cp=bool(flags.get("allow_non_cp", False)),
+        allow_non_cp=allow_non_cp,
     )
+
+
+def squeezing(cfg: RunConfig) -> tuple[complex, complex]:
+    """The squeezing parameters (Omega_1, Omega_2) of a pure product start;
+    (0, 0), the vacuum's, for any other kind."""
+    if cfg.initial_kind != "pure":
+        return 0.0, 0.0
+    return tuple(parse_complex(cfg.initial_params.get(k, 0.0), f"initial_state.{k}") for k in ("omega1", "omega2"))
 
 
 def build_initial_covariance(cfg: RunConfig) -> Covariance:
@@ -162,12 +188,12 @@ def build_initial_covariance(cfg: RunConfig) -> Covariance:
         if kind == "pure":
             if cfg.modes != 2:
                 raise ConfigError("pure product initial states are defined for 2 modes")
-            return pure_product(parse_complex(params.get("omega1", 0.0)), parse_complex(params.get("omega2", 0.0)))
+            return pure_product(*squeezing(cfg))
         if kind == "thermal":
             occ = params.get("occupations")
             if not isinstance(occ, list) or len(occ) != cfg.modes:
                 raise ConfigError(f"thermal state needs {cfg.modes} occupations")
-            return thermal(cfg.modes, [float(x) for x in occ])
+            return thermal(cfg.modes, [_number(x, "initial_state.occupations") for x in occ])
         if kind == "blocks":
             alpha = parse_matrix(params.get("alpha"), cfg.modes, "initial_state.alpha")
             beta = parse_matrix(params.get("beta"), cfg.modes, "initial_state.beta")
@@ -175,7 +201,7 @@ def build_initial_covariance(cfg: RunConfig) -> Covariance:
         if kind == "collective":
             if cfg.collective is None:
                 raise ConfigError("a 'collective' initial state requires a collective bath")
-            beta0 = float(params.get("beta0", 1.0))
+            beta0 = _number(params.get("beta0", 1.0), "initial_state.beta0")
             _, beta_inf = collective_steady_moments(
                 cfg.collective.eta, cfg.collective.sigma, cfg.collective.omega, cfg.collective.lam
             )

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matkit
-from .errors import DomainError, NonPhysicalInput, NotCP, Unstable
+from .errors import DomainError, NonPhysicalInput, NotCP, NotSquare, Unstable, WrongModeCount
 from .gaussian_state import Covariance, _half_sigma, _lock, _pt_matrix, _spectrum, is_physical
 
 # propagate_steps refuses, before propagating, a grid of more samples than
@@ -60,7 +60,7 @@ class BathSpec:
             if shape is None:
                 shape = a.shape
             elif a.shape != shape:
-                raise ValueError(f"all bath matrices must share one shape; {name} has {a.shape}")
+                raise NotSquare(f"all bath matrices must share one shape; {name} has {a.shape}")
             mats[name] = a
         for name in ("omega", "eta", "sigma"):
             mats[name] = matkit.require_hermitian(mats[name])
@@ -138,9 +138,9 @@ class Trajectory:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or len(t) != len(self.states):
-            raise ValueError("times and states must have equal length")
+            raise DomainError("times and states must have equal length")
         if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
+            raise DomainError("times must be strictly increasing")
         object.__setattr__(self, "times", t)
 
 
@@ -211,7 +211,7 @@ def _propagator_pieces(gen: DriftDiffusion, t: float) -> tuple[np.ndarray, np.nd
 def _require_propagatable(v0: Covariance, bath: BathSpec, allow_non_cp: bool) -> bool:
     """Refuse a bad start, and a non-CP bath unless allowed; return the CP verdict."""
     if v0.n != bath.n:
-        raise ValueError(f"state has {v0.n} modes but bath has {bath.n}")
+        raise WrongModeCount(f"state has {v0.n} modes but bath has {bath.n}")
     physical, min_eig = is_physical(v0)
     if not physical:
         raise NonPhysicalInput(f"initial covariance violates positivity, min eigenvalue {min_eig:.3e}")
@@ -233,7 +233,7 @@ def propagate_exact(v0: Covariance, bath: BathSpec, t: float, *, allow_non_cp: b
     exponential (no quadrature error, semigroup law holds to roundoff).
     """
     if t < 0:
-        raise ValueError("t must be >= 0")
+        raise DomainError("t must be >= 0")
     _require_propagatable(v0, bath, allow_non_cp)
     gen = drift_diffusion(bath)
     e_ta, f = _propagator_pieces(gen, t)
@@ -249,9 +249,9 @@ def _grid_times(t_max: float, dt: float) -> np.ndarray:
     Raises DomainError, without building the grid, when it would hold more
     than MAX_SAMPLES samples."""
     if not dt > 0:
-        raise ValueError("dt must be > 0")
+        raise DomainError("dt must be > 0")
     if not t_max >= 0:
-        raise ValueError("t_max must be >= 0")
+        raise DomainError("t_max must be >= 0")
     if t_max / dt + 1 > MAX_SAMPLES:
         raise DomainError(
             f"t_max={t_max:g} with dt={dt:g} needs about {t_max / dt + 1:.3g} samples; "
@@ -263,15 +263,17 @@ def _grid_times(t_max: float, dt: float) -> np.ndarray:
     return np.append(np.arange(n_steps) * dt, t_max)
 
 
-def _checked_samples(raw: np.ndarray) -> np.ndarray:
+def _checked_samples(raw: np.ndarray, times: np.ndarray) -> np.ndarray:
     """The checks of Covariance.__post_init__, batched over an (N, m, m)
-    stack of unsymmetrized samples: raise for the first sample that is not
-    finite or not Hermitian, with the constructor's message, else return the
-    Hermitian parts, bit for bit the constructor's."""
+    stack of unsymmetrized samples at the given times: raise for the first
+    sample that is not finite (naming its time) or not Hermitian (with the
+    constructor's message), else return the Hermitian parts, bit for bit the
+    constructor's."""
     finite = np.isfinite(raw).all(axis=(1, 2))
     if not finite.all():
-        matkit.require_hermitian(raw[: np.argmin(finite)])  # an earlier defect first
-        raise ValueError("matrix entries must be finite")
+        first = int(np.argmin(finite))
+        matkit.require_hermitian(raw[:first])  # an earlier defect first
+        raise DomainError(f"matrix entries must be finite; the propagation overflowed at t = {times[first]:g}")
     return matkit.require_hermitian(raw)
 
 
@@ -300,16 +302,17 @@ def propagate_steps(
     n = v0.n
     raw = np.empty((len(times), 2 * n, 2 * n), dtype=complex)
     raw[0] = v = v0.v
-    e_step, f_step = _propagator_pieces(gen, dt)
     # the index of a shorter last step, 0 when dt divides t_max: decided
     # once, with the step rule of _grid_times, outside the loop
     short = 0 if matkit.step_count(0.0, t_max, dt)[1] else len(times) - 1
-    for k in range(1, len(times)):
-        if k == short:
-            e_step, f_step = _propagator_pieces(gen, times[k] - times[k - 1])
-        raw[k] = e_step.conj().T @ v @ e_step + f_step
-        v = 0.5 * (raw[k] + raw[k].conj().T)
-    vs = _checked_samples(raw)
+    with np.errstate(over="ignore", invalid="ignore"):  # _checked_samples names an overflow
+        e_step, f_step = _propagator_pieces(gen, dt)
+        for k in range(1, len(times)):
+            if k == short:
+                e_step, f_step = _propagator_pieces(gen, times[k] - times[k - 1])
+            raw[k] = e_step.conj().T @ v @ e_step + f_step
+            v = 0.5 * (raw[k] + raw[k].conj().T)
+    vs = _checked_samples(raw, times)
     vs.setflags(write=False)
 
     spectra = _spectrum(vs + _half_sigma(n))

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all quasifree modules."""
+"""Exception hierarchy shared by all quasifree modules: every error raised is
+a QuasifreeError, and also a ValueError (bad input) or an ArithmeticError
+(failed computation).  cli._OUTCOMES maps each class to its exit code."""
 
 
 class QuasifreeError(Exception):
@@ -6,15 +8,20 @@ class QuasifreeError(Exception):
 
 
 class NotSquare(QuasifreeError, ValueError):
-    """A matrix argument was expected to be square."""
+    """A matrix argument has the wrong shape: not square, or not matching its partners."""
 
 
 class NotHermitian(QuasifreeError, ValueError):
-    """A matrix failed the Hermiticity tolerance check."""
+    """A matrix failed its Hermiticity (for an alpha block, symmetry) tolerance check."""
 
 
 class NumericalFailure(QuasifreeError, ArithmeticError):
     """A numerical routine diverged, overflowed or missed its accuracy contract."""
+
+
+class OracleFailure(NumericalFailure):
+    """The Fock oracle's integrated density matrix left the physical set
+    (trace drift or a negative eigenvalue); a smaller step may cure it."""
 
 
 class Resonant(QuasifreeError, ArithmeticError):
@@ -22,20 +29,14 @@ class Resonant(QuasifreeError, ArithmeticError):
     eigenvalue of q, so no unique solution exists."""
 
 
-class NotNormalizable(QuasifreeError, ValueError):
-    """A pure-state squeezing parameter has modulus >= 1."""
-
-
-class NegativeOccupation(QuasifreeError, ValueError):
-    """A thermal occupation number was negative."""
-
-
 class NotCP(QuasifreeError, ValueError):
     """The bath is not completely positive (Kossakowski matrix not PSD)."""
 
 
 class NonPhysicalInput(QuasifreeError, ValueError):
-    """A covariance matrix violates the positivity condition V + Sigma/2 >= 0."""
+    """A state is not physical: a covariance violates V + Sigma/2 >= 0, a
+    moment block or occupation is negative, a density matrix lacks unit
+    trace, or a squeezing parameter has modulus >= 1."""
 
 
 class Unstable(QuasifreeError, ArithmeticError):
@@ -44,7 +45,7 @@ class Unstable(QuasifreeError, ArithmeticError):
 
 
 class WrongModeCount(QuasifreeError, ValueError):
-    """An operation defined for two modes received a different mode count."""
+    """An operation received a mode count other than the one it needs."""
 
 
 class EmptyNullSpace(QuasifreeError, ValueError):
@@ -57,11 +58,9 @@ class NotNullVector(QuasifreeError, ValueError):
 
 
 class DomainError(QuasifreeError, ValueError):
-    """Scalar parameters are outside the domain of a closed-form expression."""
-
-
-class CutoffTooSmall(QuasifreeError, ValueError):
-    """The Fock-space cutoff is too small to represent the requested state."""
+    """An argument lies outside the domain of the routine: a non-finite
+    entry, a negative time or step, a Fock cutoff below 2, scalars outside a
+    closed form's domain, or a grid or propagation too large to represent."""
 
 
 class TruncationLeak(QuasifreeError, ArithmeticError):
@@ -70,8 +69,5 @@ class TruncationLeak(QuasifreeError, ArithmeticError):
 
 
 class ConfigError(QuasifreeError, ValueError):
-    """A run configuration file is malformed or inconsistent."""
-
-
-class UnknownParam(QuasifreeError, ValueError):
-    """An unsupported sweep parameter name was requested."""
+    """A run configuration, its file or its command line, is malformed or
+    inconsistent."""

@@ -34,9 +34,10 @@ import numpy as np
 from . import matkit
 from .dynamics import BathSpec, kossakowski
 from .errors import (
-    CutoffTooSmall,
-    NotNormalizable,
-    NumericalFailure,
+    DomainError,
+    NonPhysicalInput,
+    NotSquare,
+    OracleFailure,
     TruncationLeak,
     WrongModeCount,
 )
@@ -52,7 +53,7 @@ def _sparse_lowering_operators(cutoff: int):
     import scipy.sparse
 
     if cutoff < 2:
-        raise CutoffTooSmall(f"cutoff must be >= 2, got {cutoff}")
+        raise DomainError(f"cutoff must be >= 2, got {cutoff}")
     q = cutoff + 1
     a = scipy.sparse.diags_array(np.sqrt(np.arange(1, q)), offsets=1, shape=(q, q), dtype=complex)
     eye = scipy.sparse.eye_array(q, dtype=complex)
@@ -97,24 +98,20 @@ class FockState:
         r = matkit.require_square(matkit.as_matrix(self.rho))
         q = self.cutoff + 1
         if r.shape[0] != q * q:
-            raise ValueError(f"rho must be {q * q}x{q * q} for cutoff {self.cutoff}, got {r.shape}")
+            raise NotSquare(f"rho must be {q * q}x{q * q} for cutoff {self.cutoff}, got {r.shape}")
         trace = complex(np.trace(r))
         if abs(trace - 1.0) > matkit.TRACE_TOL:
-            raise ValueError(f"rho must have unit trace, got {trace}")
+            raise NonPhysicalInput(f"rho must have unit trace, got {trace}")
         r = matkit.require_hermitian(r)
         even, odd = parity_sectors(self.cutoff)
         if np.any(r[np.ix_(even, odd)]) or np.any(r[np.ix_(odd, even)]):
-            raise ValueError(
+            raise DomainError(
                 "rho mixes sectors of different total parity; the oracle covers "
                 "parity-symmetric (zero-mean) states only"
             )
         r = np.array(r, copy=True)
         r.setflags(write=False)
         object.__setattr__(self, "rho", r)
-
-    def min_eigenvalue(self) -> float:
-        w, _ = matkit.hermitian_eigensystem(self.rho)
-        return float(w[0])
 
 
 def vacuum_state(cutoff: int) -> FockState:
@@ -134,7 +131,7 @@ def thermal_state(mean_occupations, cutoff: int) -> FockState:
     diags = []
     for nbar in occ:
         if nbar < 0:
-            raise ValueError(f"occupations must be >= 0, got {nbar}")
+            raise NonPhysicalInput(f"occupations must be >= 0, got {nbar}")
         if nbar == 0:
             p = np.zeros(q)
             p[0] = 1.0
@@ -151,7 +148,7 @@ def _pure_mode_amplitudes(omega: complex, cutoff: int) -> np.ndarray:
     squeezing parameter Omega: psi_{2k} proportional to
     (Omega/2)^k sqrt((2k)!) / k!, normalized on the truncated space."""
     if abs(omega) >= 1.0:
-        raise NotNormalizable(f"|Omega| must be < 1, got {abs(omega)}")
+        raise NonPhysicalInput(f"|Omega| must be < 1, got {abs(omega)}")
     q = cutoff + 1
     psi = np.zeros(q, dtype=complex)
     psi[0] = 1.0
@@ -169,7 +166,7 @@ def pure_product_state(omega1: complex, omega2: complex, cutoff: int) -> FockSta
     """Density matrix of the two-mode pure product state with squeezing
     parameters (Omega_1, Omega_2); matches gaussian_state.pure_product."""
     if cutoff < 2:
-        raise CutoffTooSmall(f"cutoff must be >= 2, got {cutoff}")
+        raise DomainError(f"cutoff must be >= 2, got {cutoff}")
     psi = np.kron(_pure_mode_amplitudes(omega1, cutoff), _pure_mode_amplitudes(omega2, cutoff))
     return FockState(np.outer(psi, psi.conj()), cutoff)
 
@@ -244,12 +241,10 @@ class LindbladGenerator:
 
 
 def build_generator(bath: BathSpec, cutoff: int) -> LindbladGenerator:
-    if cutoff < 2:
-        raise CutoffTooSmall(f"cutoff must be >= 2, got {cutoff}")
     return LindbladGenerator(bath, cutoff)
 
 
-def top_level_population(state: FockState) -> float:
+def _top_level_population(state: FockState) -> float:
     """Total population of number levels with n1 = cutoff or n2 = cutoff."""
     q = state.cutoff + 1
     diag = np.real(np.diagonal(state.rho)).reshape(q, q)
@@ -271,18 +266,18 @@ def evolve_trajectory(
     Hermiticity is enforced by symmetrization after every step; the trace is
     checked at each sample (the generator is trace-free, so drift beyond
     roundoff signals an integrator failure), and so is positivity: an
-    eigenvalue below -matkit.TRUNCATION_TOL raises NumericalFailure.  Raises
+    eigenvalue below -matkit.TRUNCATION_TOL raises OracleFailure.  Raises
     TruncationLeak when the top number level accumulates more than
     matkit.TRUNCATION_TOL population.  Either error ends the trajectory after
     the samples before it have been yielded.
     """
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
-        raise ValueError("sample times must be >= 0")
+        raise DomainError("sample times must be >= 0")
     if any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("sample times must be non-decreasing")
+        raise DomainError("sample times must be non-decreasing")
     if dt <= 0:
-        raise ValueError("dt must be > 0")
+        raise DomainError("dt must be > 0")
     cutoff = rho0.cutoff
     gen = build_generator(bath, cutoff)
     state = rho0
@@ -308,19 +303,19 @@ def evolve_trajectory(
         full = join_parity(rho, cutoff)
         trace = complex(np.trace(full))
         if abs(trace - 1.0) > matkit.TRACE_TOL:
-            raise NumericalFailure(f"trace drifted to {trace}")
+            raise OracleFailure(f"trace drifted to {trace}")
         # The truncated generator is itself of Lindblad form, so for a CP bath
         # only the integrator can move population to where a physical state has
         # none; the same bound as the truncation leak decides when to stop.
         min_eig = min(float(np.linalg.eigvalsh(r)[0]) for r in rho)
         if min_eig < -matkit.TRUNCATION_TOL:
-            raise NumericalFailure(
+            raise OracleFailure(
                 f"integrated density matrix has eigenvalue {min_eig:.3e} < -{matkit.TRUNCATION_TOL:.0e}; "
                 f"the step dt={dt:g} is unstable for this generator, or the bath is not "
                 "completely positive"
             )
         state = FockState(full / trace.real, cutoff)
-        leak = top_level_population(state)
+        leak = _top_level_population(state)
         if leak > matkit.TRUNCATION_TOL:
             raise TruncationLeak(
                 f"top number level holds {leak:.3e} > {matkit.TRUNCATION_TOL:.0e}; "

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import matkit
-from .errors import NegativeOccupation, NotNormalizable, WrongModeCount
+from .errors import NonPhysicalInput, NotHermitian, NotSquare, WrongModeCount
 
 
 def sigma_matrix(n: int) -> np.ndarray:
@@ -76,7 +76,7 @@ class Covariance:
     def __post_init__(self):
         a = matkit.require_square(matkit.as_matrix(self.v))
         if a.shape[0] != 2 * self.n:
-            raise ValueError(f"covariance must be {2 * self.n}x{2 * self.n}, got {a.shape}")
+            raise NotSquare(f"covariance must be {2 * self.n}x{2 * self.n}, got {a.shape}")
         object.__setattr__(self, "v", _lock(matkit.require_hermitian(a)))
 
     @classmethod
@@ -128,15 +128,15 @@ class CovarianceBlocks:
         a = matkit.require_square(matkit.as_matrix(self.alpha))
         b = matkit.require_square(matkit.as_matrix(self.beta))
         if a.shape != b.shape:
-            raise ValueError(f"alpha and beta must have equal shape, got {a.shape} vs {b.shape}")
+            raise NotSquare(f"alpha and beta must have equal shape, got {a.shape} vs {b.shape}")
         scale = float(np.abs(a).max(initial=0.0))
         if float(np.abs(a - a.T).max(initial=0.0)) > matkit.HERMITICITY_RTOL * scale:
-            raise ValueError("alpha block must be symmetric")
+            raise NotHermitian("alpha block must be symmetric")
         b = matkit.require_hermitian(b)
         w, _ = matkit.hermitian_eigensystem(b)
         # beta is a Gram-type moment matrix; tolerate only roundoff-level dips
         if w[0] < -matkit.cut(w):
-            raise ValueError(f"beta block must be positive semidefinite, min eigenvalue {w[0]:.3e}")
+            raise NonPhysicalInput(f"beta block must be positive semidefinite, min eigenvalue {w[0]:.3e}")
         object.__setattr__(self, "alpha", _lock(0.5 * (a + a.T)))
         object.__setattr__(self, "beta", _lock(b))
 
@@ -157,7 +157,7 @@ def from_blocks(alpha, beta) -> Covariance:
 def vacuum(n: int) -> Covariance:
     """Vacuum of n modes: beta = 1, alpha = 0, hence V = 1/2."""
     if n < 1:
-        raise ValueError("need at least one mode")
+        raise WrongModeCount("need at least one mode")
     return from_blocks(np.zeros((n, n)), np.eye(n))
 
 
@@ -165,9 +165,9 @@ def thermal(n: int, mean_occupations) -> Covariance:
     """Product of thermal modes with the given mean occupation numbers."""
     occ = np.asarray(mean_occupations, dtype=float)
     if occ.shape != (n,):
-        raise ValueError(f"expected {n} occupation numbers, got shape {occ.shape}")
+        raise WrongModeCount(f"expected {n} occupation numbers, got shape {occ.shape}")
     if np.any(occ < 0):
-        raise NegativeOccupation(f"occupations must be >= 0, got {occ}")
+        raise NonPhysicalInput(f"occupations must be >= 0, got {occ}")
     return from_blocks(np.zeros((n, n)), np.diag(1.0 + occ))
 
 
@@ -180,7 +180,7 @@ def pure_product(omega1: complex, omega2: complex) -> Covariance:
     """
     omegas = np.array([omega1, omega2], dtype=complex)
     if np.any(np.abs(omegas) >= 1.0):
-        raise NotNormalizable(f"|Omega| must be < 1 for a normalizable state, got {np.abs(omegas)}")
+        raise NonPhysicalInput(f"|Omega| must be < 1 for a normalizable state, got {np.abs(omegas)}")
     denom = 1.0 - np.abs(omegas) ** 2
     return from_blocks(np.diag(omegas / denom), np.diag(1.0 / denom))
 

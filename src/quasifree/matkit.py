@@ -17,7 +17,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .errors import NotHermitian, NotSquare, NumericalFailure, Resonant
+from .errors import DomainError, NotHermitian, NotSquare, NumericalFailure, Resonant
 
 # ---------------------------------------------------------------- Tolerances
 # One rule: a computed x counts as zero when |x| <= max(tol, ROUNDOFF * scale),
@@ -67,7 +67,7 @@ def as_matrix(m) -> np.ndarray:
     if a.ndim != 2:
         raise NotSquare(f"expected a 2-D matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix entries must be finite")
+        raise DomainError("matrix entries must be finite")
     return a
 
 

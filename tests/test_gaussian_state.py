@@ -16,7 +16,7 @@ from quasifree import (
     vacuum,
 )
 from quasifree import fock_oracle
-from quasifree.errors import NegativeOccupation, NotHermitian, NotNormalizable, WrongModeCount
+from quasifree.errors import NonPhysicalInput, NotHermitian, WrongModeCount
 from quasifree.gaussian_state import Covariance
 
 from conftest import eigensystem_min_physical, eigensystem_min_pt, full_transpose, random_physical_covariance
@@ -51,7 +51,7 @@ class TestConstructors:
         assert np.abs(blocks.beta - cov.beta).max() < 1e-8
 
     def test_pure_product_rejects_unnormalizable(self):
-        with pytest.raises(NotNormalizable):
+        with pytest.raises(NonPhysicalInput):
             pure_product(1.0, 0.0)
 
     def test_thermal_zero_equals_vacuum_exactly(self):
@@ -64,7 +64,7 @@ class TestConstructors:
         )
 
     def test_thermal_rejects_negative_occupation(self):
-        with pytest.raises(NegativeOccupation):
+        with pytest.raises(NonPhysicalInput):
             thermal(2, [0.5, -0.1])
 
     def test_collective_thermal_limit(self):
